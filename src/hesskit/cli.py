@@ -33,11 +33,19 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _parse_word(text: str, n: int) -> tuple[int, ...]:
     """Accept ``2413``, ``2,4,1,3``, or row-separated ``24/13``."""
     text = text.replace("/", ",") if "," in text else text.replace("/", "")
     if "," in text:
-        word = tuple(int(part) for part in text.split(",") if part)
+        if "" in text.split(","):
+            raise ValueError(f"empty entry in word {text!r}")
+        word = tuple(int(part) for part in text.split(","))
     else:
         word = tuple(int(ch) for ch in text)
     if len(word) != n:
@@ -55,30 +63,29 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, sort_keys=True))
 
 
-def _filling_record(h: HessenbergFunction, filling: Filling) -> tuple[str, str, str]:
+def _phi_record(h: HessenbergFunction, filling: Filling) -> dict:
+    """Dimension pairs of a filling and their monomial, computed once for any format."""
     pairs = core.dimension_pairs(h, filling)
-    pair_text = ",".join(f"({a},{b})" for a, b in pairs.sorted()) or "-"
-    return str(filling), pair_text, str(core.phi(h, filling))
+    return {"pairs": pairs, "monomial": Monomial(pairs.larger_counts(h.n))}
+
+
+def _json_record(record: dict) -> dict:
+    return {key: value.to_json() for key, value in record.items()}
+
+
+def _pair_text(pairs) -> str:
+    return ",".join(f"({a},{b})" for a, b in pairs.sorted()) or "-"
 
 
 def cmd_fillings(args) -> int:
     h = HessenbergFunction(_parse_ints(args.h))
     fillings = core.enumerate_fillings(h, _parse_ints(args.mu), max_n=args.max_n)
+    records = ({"filling": f, **_phi_record(h, f)} for f in fillings)
     if args.format == "json":
-        records = []
-        for f in fillings:
-            pairs = core.dimension_pairs(h, f)
-            records.append(
-                {
-                    "filling": f.to_json(),
-                    "pairs": pairs.to_json(),
-                    "monomial": core.phi(h, f).to_json(),
-                }
-            )
-        _emit_json(records)
+        _emit_json([_json_record(r) for r in records])
     else:
-        for f in fillings:
-            _emit("\t".join(_filling_record(h, f)))
+        for r in records:
+            _emit(f"{r['filling']}\t{_pair_text(r['pairs'])}\t{r['monomial']}")
     return EXIT_OK
 
 
@@ -135,10 +142,6 @@ def cmd_ideal(args) -> int:
     return EXIT_OK
 
 
-def _sorted_monomials(monomials) -> list[Monomial]:
-    return sorted(monomials)
-
-
 def cmd_basis(args) -> int:
     if (args.h is None) == (args.mu is None):
         raise ValueError("exactly one of --h and --mu is required")
@@ -148,7 +151,7 @@ def cmd_basis(args) -> int:
         basis = regnilp.b_h_basis(h)
     else:
         basis = springer.garsia_procesi_basis(_parse_ints(args.mu), max_n=args.max_n)
-    ordered = _sorted_monomials(basis)
+    ordered = sorted(basis)
     if args.format == "json":
         _emit_json([m.to_json() for m in ordered])
     else:
@@ -161,13 +164,12 @@ def cmd_phi(args) -> int:
     h = HessenbergFunction(_parse_ints(args.h))
     mu = _parse_ints(args.mu)
     filling = Filling.from_word(mu, _parse_word(args.filling, sum(mu)))
-    pairs = core.dimension_pairs(h, filling)
-    monomial = core.phi(h, filling)
+    record = _phi_record(h, filling)
     if args.format == "json":
-        _emit_json({"pairs": pairs.to_json(), "monomial": monomial.to_json()})
+        _emit_json(_json_record(record))
     else:
-        _emit("pairs: " + (",".join(f"({a},{b})" for a, b in pairs.sorted()) or "-"))
-        _emit(str(monomial))
+        _emit("pairs: " + _pair_text(record["pairs"]))
+        _emit(str(record["monomial"]))
     return EXIT_OK
 
 
@@ -193,36 +195,20 @@ def cmd_psih(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(h: HessenbergFunction, max_n: int | None) -> regnilp.VerifyReport:
-    return regnilp.verify_counts(h, max_n=max_n)
-
-
 def cmd_verify(args) -> int:
     if (args.h is None) == (args.all_n is None):
         raise ValueError("exactly one of --h and --all-n is required")
     if args.h is not None:
         h = HessenbergFunction(_parse_ints(args.h))
-        report = _verify_one(h, args.max_n)
+        report = regnilp.verify_counts(h, max_n=args.max_n)
+        record = {**vars(report), "h": list(h.values), "ok": report.ok()}
         if args.format == "json":
-            _emit_json(
-                {
-                    "h": list(h.values),
-                    "fillings": report.fillings,
-                    "leaves": report.leaves,
-                    "prod_nu": report.prod_nu,
-                    "prod_beta": report.prod_beta,
-                    "a_equals_b": report.a_equals_b,
-                    "ok": report.ok(),
-                }
-            )
+            _emit_json(record)
         else:
             _emit(f"h={h}")
-            _emit(f"fillings: {report.fillings}")
-            _emit(f"leaves: {report.leaves}")
-            _emit(f"prod_nu: {report.prod_nu}")
-            _emit(f"prod_beta: {report.prod_beta}")
-            _emit(f"a_equals_b: {'true' if report.a_equals_b else 'false'}")
-            _emit("OK" if report.ok() else "FAIL")
+            for key in ("fillings", "leaves", "prod_nu", "prod_beta", "a_equals_b"):
+                _emit(f"{key}: {json.dumps(record[key])}")
+            _emit("OK" if record["ok"] else "FAIL")
         return EXIT_OK
     n = args.all_n
     core._check_cap(n, args.max_n, "identity sweep")
@@ -230,7 +216,7 @@ def cmd_verify(args) -> int:
     failures = []
     for h in core.hessenberg_functions(n):
         checked += 1
-        report = _verify_one(h, args.max_n)
+        report = regnilp.verify_counts(h, max_n=args.max_n)
         multisets_equal = sorted(core.nu_tuple(h)) == sorted(core.degree_tuple(h))
         if not (report.ok() and multisets_equal):
             failures.append(str(h))
@@ -249,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats=("plain", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--max-n", type=int, default=None, help="override the size cap")
+        p.add_argument("--max-n", type=_positive_int, default=None, help="override the size cap")
 
     p = sub.add_parser("fillings", help="list permissible fillings with pairs and monomials")
     p.add_argument("--h", required=True, help="Hessenberg values, e.g. 1,3,3")
@@ -302,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the counting identities")
     p.add_argument("--h")
-    p.add_argument("--all-n", type=int, default=None, dest="all_n")
+    p.add_argument("--all-n", type=_positive_int, default=None, dest="all_n")
     common(p)
     p.set_defaults(func=cmd_verify)
 

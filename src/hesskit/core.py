@@ -56,9 +56,11 @@ def size_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_MAX_N_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_N
+    if env is None:
+        return DEFAULT_MAX_N
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{_MAX_N_ENV}={env!r} is not a positive integer")
+    return int(env)
 
 
 def _check_cap(n: int, override: int | None, what: str) -> None:
@@ -263,7 +265,7 @@ class Monomial(tuple):
         for i, e in enumerate(self, start=1):
             if e == 1:
                 parts.append(f"x{i}")
-            elif e > 1:
+            elif e:  # negative only in a monomial built unchecked
                 parts.append(f"x{i}^{e}")
         return "*".join(parts) if parts else "1"
 
@@ -284,7 +286,10 @@ class Monomial(tuple):
             i = int(base[1:])
             if not 1 <= i <= n:
                 raise ValueError(f"variable x{i} out of range for n={n}")
-            exps[i - 1] += int(power) if power else 1
+            e = int(power) if power else 1
+            if e < 0:
+                raise ValueError(f"negative exponent in {factor!r}")
+            exps[i - 1] += e
         return cls(exps)
 
     def to_json(self) -> list[int]:

@@ -15,7 +15,6 @@ coefficient (always true here, since every generator is monic).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 from .core import HessenbergFunction, HesskitError, Monomial, degree_tuple
@@ -28,21 +27,6 @@ class ZeroPolynomial(HesskitError, ValueError):
 class InfiniteStaircase(HesskitError, ValueError):
     """Some variable has no pure-power leading term, so the set of standard
     monomials is infinite."""
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Only lex with x_1 > x_2 > ... > x_n is supported."""
-
-    kind: str = "lex"
-
-
-LEX = MonomialOrder("lex")
-
-
-def _check_order(order: MonomialOrder) -> None:
-    if order.kind != "lex":
-        raise ValueError(f"unsupported monomial order {order.kind!r}")
 
 
 _Exps = tuple[int, ...]
@@ -251,14 +235,6 @@ class Polynomial:
         return cls(n, terms)
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 def modified_complete_symmetric(r: int, variables: Iterable[int], n: int) -> Polynomial:
     """Sum of all monomials of total degree r in the given variables.
 
@@ -296,13 +272,12 @@ def jh_generators(h: HessenbergFunction) -> list[Polynomial]:
     ]
 
 
-def leading_term(p: Polynomial, order: MonomialOrder = LEX) -> tuple[Monomial, int]:
-    _check_order(order)
+def leading_term(p: Polynomial) -> tuple[Monomial, int]:
     exps, coef = p.leading()
     return Monomial(exps), coef
 
 
-def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = LEX) -> Polynomial:
+def reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Normal form of p modulo the basis (multivariate division remainder).
 
     Deterministic: the current lex-leading term is rewritten first, divisors
@@ -311,7 +286,6 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = LE
     No term of the result is divisible by any basis leading term whose
     coefficient is a unit.
     """
-    _check_order(order)
     if not basis:
         raise ValueError("basis must be nonempty")
     leads = [(g.leading(), g) for g in basis]
@@ -339,10 +313,9 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = LE
     return Polynomial(p.n, remainder)
 
 
-def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = LEX) -> Polynomial:
+def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
     """Integer-safe S-polynomial: cross-multiplied by leading coefficients,
     content not reduced."""
-    _check_order(order)
     (lp, cp) = p.leading()
     (lq, cq) = q.leading()
     lcm = tuple(max(a, b) for a, b in zip(lp, lq))
@@ -351,30 +324,25 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = LEX) -> Po
     return left - right
 
 
-def groebner_failures(
-    basis: Sequence[Polynomial], order: MonomialOrder = LEX
-) -> list[tuple[int, int, Polynomial]]:
+def groebner_failures(basis: Sequence[Polynomial]) -> list[tuple[int, int, Polynomial]]:
     """S-pairs whose normal form is nonzero, as (i, j, normal_form) triples."""
-    _check_order(order)
     failures = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            nf = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+            nf = reduce(s_polynomial(basis[i], basis[j]), basis)
             if not nf.is_zero:
                 failures.append((i, j, nf))
     return failures
 
 
-def is_groebner(basis: Sequence[Polynomial], order: MonomialOrder = LEX) -> bool:
+def is_groebner(basis: Sequence[Polynomial]) -> bool:
     """Buchberger criterion: every S-polynomial of a pair reduces to zero."""
     if not basis or any(g.is_zero for g in basis):
         raise ValueError("basis members must be nonzero")
-    return not groebner_failures(basis, order)
+    return not groebner_failures(basis)
 
 
-def standard_monomials(
-    basis: Sequence[Polynomial], order: MonomialOrder = LEX
-) -> set[Monomial]:
+def standard_monomials(basis: Sequence[Polynomial]) -> set[Monomial]:
     """Monomials divisible by no leading term of the basis.
 
     Requires a pure power of every variable among the leading terms (a
@@ -383,7 +351,6 @@ def standard_monomials(
     passing a Groebner basis when the result is to be read as a quotient
     basis.
     """
-    _check_order(order)
     if not basis:
         raise ValueError("basis must be nonempty")
     n = basis[0].n

@@ -5,6 +5,12 @@ at the far-right end or immediately left of any k with h(k) >= i, giving
 exactly beta_i slots.  Growing all words this way yields the h-tableau-tree,
 whose bottom row of leaf monomials is the staircase basis of the quotient by
 the ideal built in :mod:`hesskit.polyalg`, paired with the filling above it.
+
+That insertion is the tree's one step function (see :mod:`hesskit.trees`):
+a word at level i-1 has a child for each slot of i, on the edge x_i^e for
+slot e+1 counted right to left.  The h-tree and the h-tableau-tree are built
+from it, :func:`iter_words` streams its leaves, and :func:`psi_h` descends
+it along the path whose exponents are the monomial's.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ from .core import (
     HessenbergFunction,
     HesskitError,
     Monomial,
-    NotInBasis,
     _check_cap,
     degree_tuple,
     enumerate_fillings,
     nu_tuple,
     phi_word,
 )
-from .trees import LabeledTree, TreeNode
+from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
 
 
 def h_permissible_positions(h: HessenbergFunction, word: Sequence[int]) -> list[int]:
@@ -54,80 +59,64 @@ def _bullets(h_values: Sequence[int], word: Sequence[int], i: int) -> list[int]:
     return slots
 
 
-def iter_words(h: HessenbergFunction) -> Iterator[tuple[tuple[int, ...], Monomial]]:
-    """Stream (word, monomial) pairs of the h-tableau-tree leaves, left to right."""
+def _h_step(h: HessenbergFunction):
+    """The insertion step: a word holding 1..i-1 at level i-1 has one child
+    per insertion slot of i; the edge x_i^e puts i into slot e+1, counting
+    right to left, so exponents run beta_i - 1 .. 0 left to right."""
     n = h.n
     hv = h.values
     beta = degree_tuple(h)
 
-    def walk(word: tuple[int, ...], i: int, exps: list[int]) -> Iterator:
+    def step(level: int, word: tuple[int, ...]) -> list:
+        i = level + 1
         if i > n:
-            yield word, Monomial(exps)
-            return
+            return []
         slots = _bullets(hv, word, i)
-        for e in range(beta[i - 1] - 1, -1, -1):  # left-to-right child order
-            p = slots[e]
-            exps[i - 1] = e
-            yield from walk(word[:p] + (i,) + word[p:], i + 1, exps)
-            exps[i - 1] = 0
+        if len(slots) != beta[level]:
+            raise HesskitError(
+                f"h={h}: {len(slots)} slots for i={i}, expected beta_i={beta[level]}"
+            )
+        return [
+            (i, e, i, word[:p] + (i,) + word[p:])
+            for e, p in zip(range(len(slots) - 1, -1, -1), reversed(slots))
+        ]
 
-    yield from walk((1,), 2, [0] * n)
+    return step
+
+
+def iter_words(h: HessenbergFunction) -> Iterator[tuple[tuple[int, ...], Monomial]]:
+    """Stream (word, monomial) pairs of the h-tableau-tree leaves, left to right."""
+    yield from _iter_leaves(h.n, 1, (1,), _h_step(h))
+
+
+def _h_tree(h: HessenbergFunction, max_n: int | None, kind: str, payload) -> LabeledTree:
+    n = h.n
+    _check_cap(n, max_n, "tree construction")
+    return _build_tree(kind, n, 1, (1,), _h_step(h), payload, range(1, n + 2), n + 1)
 
 
 def build_h_tree(h: HessenbergFunction, max_n: int | None = None) -> LabeledTree:
     """Bare branching tree: beta_i edges per vertex between levels i-1 and i,
     labelled x_i^(beta_i - 1) .. x_i^0 left to right; leaf labels are the
     edge products and enumerate the staircase basis."""
-    return _build(h, max_n, tableaux=False)
+    return _h_tree(h, max_n, "h", lambda level, word: None)
 
 
 def build_h_tableau_tree(h: HessenbergFunction, max_n: int | None = None) -> LabeledTree:
     """The h-tree with word payloads: the edge x_i^j replaces the (j+1)-th
     insertion slot, counting right to left, with the value i.  Level-n
     vertices are the complete one-row fillings."""
-    return _build(h, max_n, tableaux=True)
-
-
-def _build(h: HessenbergFunction, max_n: int | None, tableaux: bool) -> LabeledTree:
-    n = h.n
-    _check_cap(n, max_n, "tree construction")
-    hv = h.values
-    beta = degree_tuple(h)
     seen: set[tuple[int, ...]] = set()
 
-    def grow(node: TreeNode, word: tuple[int, ...], i: int, mono: Monomial) -> None:
-        if i > n:
-            leaf = TreeNode(f"{node.node_id}.0", n + 1, mono, Monomial.one(n))
-            node.children.append(leaf)
-            return
-        slots = _bullets(hv, word, i)
-        if len(slots) != beta[i - 1]:
-            raise HesskitError(
-                f"h={h}: {len(slots)} slots for i={i}, expected beta_i={beta[i - 1]}"
-            )
-        for e in range(beta[i - 1] - 1, -1, -1):
-            p = slots[e]
-            grown = word[:p] + (i,) + word[p:]
-            label = Monomial.variable(n, i, e)
-            if tableaux:
-                payload = Filling.from_word((n,), grown) if i == n else grown
-            else:
-                payload = None
-            child = TreeNode(f"{node.node_id}.{e}", i, payload, label)
-            node.children.append(child)
-            if tableaux and i == n:
-                if grown in seen:
-                    raise HesskitError(f"duplicate filling {grown} in tree for h={h}")
-                seen.add(grown)
-            grow(child, grown, i + 1, mono * label)
+    def payload(level: int, word: tuple[int, ...]):
+        if level < h.n:
+            return word
+        if word in seen:
+            raise HesskitError(f"duplicate filling {word} in tree for h={h}")
+        seen.add(word)
+        return Filling.from_word((h.n,), word)
 
-    kind = "h-tableau" if tableaux else "h"
-    root_payload: object = (1,) if tableaux else None
-    if tableaux and n == 1:
-        root_payload = Filling.from_word((1,), (1,))
-    root = TreeNode("r", 1, root_payload, None)
-    grow(root, (1,), 2, Monomial.one(n))
-    return LabeledTree(kind, n, root, list(range(1, n + 2)))
+    return _h_tree(h, max_n, "h-tableau", payload)
 
 
 def level_n_fillings(tree: LabeledTree) -> list[Filling]:
@@ -153,18 +142,7 @@ def psi_h(h: HessenbergFunction, monomial: Monomial) -> Filling:
     n = h.n
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    beta = degree_tuple(h)
-    for i in range(1, n + 1):
-        if monomial.exponent(i) >= beta[i - 1]:
-            raise NotInBasis(
-                f"{monomial} is not in the basis for h={h}: "
-                f"alpha_{i}={monomial.exponent(i)} >= beta_{i}={beta[i - 1]}"
-            )
-    word: tuple[int, ...] = (1,)
-    hv = h.values
-    for i in range(2, n + 1):
-        p = _bullets(hv, word, i)[monomial.exponent(i)]
-        word = word[:p] + (i,) + word[p:]
+    word = _descend(1, (1,), _h_step(h), monomial, f"the basis for h={h}")
     return Filling.from_word((n,), word)
 
 

@@ -7,6 +7,13 @@ Young diagram), while the modified tree writes the current value into the
 box instead and never moves a box.  Leaf labels of either tree are the
 Garsia-Procesi monomial basis, and the modified tree pairs each basis
 monomial with the row-strict filling that maps to it.
+
+Each tree is one step function (see :mod:`hesskit.trees`): from a state
+with i boxes left, the edge x_i^j takes the box with dimension-order j+1.
+The box-deleting step builds the GP-tree and streams its leaves for
+:func:`garsia_procesi_basis`; the box-filling step builds the modified tree,
+and :func:`psi` descends it along the path whose exponents are the
+monomial's.
 """
 
 from __future__ import annotations
@@ -19,12 +26,11 @@ from .core import (
     Filling,
     HesskitError,
     Monomial,
-    NotInBasis,
     _check_cap,
     check_partition,
     dimension_ordering,
 )
-from .trees import LabeledTree, TreeNode
+from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
 
 
 class PartialTableau:
@@ -75,11 +81,37 @@ class PartialTableau:
         return f"PartialTableau({self})"
 
 
-def _sorted_rows(rows: Sequence[int]) -> tuple[int, ...]:
-    # Deleting a far-right box can leave a column hanging below a shorter
-    # row; pushing the column's boxes up restores weakly decreasing rows,
-    # which is exactly the descending re-sort of the nonzero row lengths.
-    return tuple(sorted((r for r in rows if r > 0), reverse=True))
+def _state(level: int, state):
+    """Vertex payload of both trees: the diagram, partial tableau or filling itself."""
+    return state
+
+
+def _gp_step(level: int, shape: tuple[int, ...]) -> list:
+    """The box-deleting step: the edge x_i^j deletes the box with dimension-order j+1."""
+    if level == 1:
+        return []
+    children = []
+    for j, (row, _col) in enumerate(dimension_ordering(shape)):
+        rows = list(shape)
+        rows[row - 1] -= 1
+        # Deleting a far-right box can leave a column hanging below a shorter
+        # row; pushing the column's boxes up restores weakly decreasing rows,
+        # which is exactly the descending re-sort of the nonzero row lengths.
+        child = tuple(sorted((r for r in rows if r > 0), reverse=True))
+        children.append((level, j, level - 1, child))
+    return children
+
+
+def _filling_step(level: int, state: PartialTableau | Filling) -> list:
+    """The box-filling step: the edge x_i^j writes i into the empty box with
+    dimension-order j+1; the last value completes the filling."""
+    if level == 0:
+        return []
+    children = []
+    for j, (row, col) in enumerate(dimension_ordering(state.remaining)):
+        child = state.place(row, col, level)
+        children.append((level, j, level - 1, child.to_filling() if level == 1 else child))
+    return children
 
 
 def build_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
@@ -92,28 +124,7 @@ def build_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "GP-tree construction")
-
-    def grow(node: TreeNode, shape: tuple[int, ...], level: int, mono: Monomial) -> None:
-        if level == 1:
-            node.payload = mono
-            return
-        for j, (row, _col) in enumerate(dimension_ordering(shape)):
-            rows = list(shape)
-            rows[row - 1] -= 1
-            child_shape = _sorted_rows(rows)
-            label = Monomial.variable(n, level, j) if j else Monomial.one(n)
-            child = TreeNode(
-                f"{node.node_id}.{j}",
-                level - 1,
-                child_shape,
-                label,
-            )
-            node.children.append(child)
-            grow(child, child_shape, level - 1, mono * label)
-
-    root = TreeNode("r", n, mu, None)
-    grow(root, mu, n, Monomial.one(n))
-    return LabeledTree("gp", n, root, list(range(n, 0, -1)))
+    return _build_tree("gp", n, n, mu, _gp_step, _state, range(n, 0, -1))
 
 
 def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
@@ -126,44 +137,16 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "modified GP-tree construction")
-
-    def grow(node: TreeNode, state: PartialTableau, level: int, mono: Monomial) -> None:
-        if level == 0:
-            leaf = TreeNode(f"{node.node_id}.0", "B", mono, Monomial.one(n))
-            node.children.append(leaf)
-            return
-        for j, (row, col) in enumerate(dimension_ordering(state.remaining)):
-            child_state = state.place(row, col, level)
-            label = Monomial.variable(n, level, j) if j else Monomial.one(n)
-            child_level = level - 1
-            payload = child_state.to_filling() if child_level == 0 else child_state
-            child = TreeNode(f"{node.node_id}.{j}", child_level, payload, label)
-            node.children.append(child)
-            grow(child, child_state, child_level, mono * label)
-
     start = PartialTableau(mu, mu, {})
-    root = TreeNode("r", n, start, None)
-    grow(root, start, n, Monomial.one(n))
-    return LabeledTree("modified-gp", n, root, list(range(n, -1, -1)) + ["B"])
+    levels = [*range(n, -1, -1), "B"]
+    return _build_tree("modified-gp", n, n, start, _filling_step, _state, levels, "B")
 
 
 def iter_basis_monomials(mu: Sequence[int]) -> Iterator[Monomial]:
     """Stream the leaf monomials of the GP-tree without materializing it."""
     mu = check_partition(mu)
     n = sum(mu)
-
-    def walk(shape: tuple[int, ...], level: int, exps: list[int]) -> Iterator[Monomial]:
-        if level == 1:
-            yield Monomial(exps)
-            return
-        for j, (row, _col) in enumerate(dimension_ordering(shape)):
-            rows = list(shape)
-            rows[row - 1] -= 1
-            exps[level - 1] = j
-            yield from walk(_sorted_rows(rows), level - 1, exps)
-            exps[level - 1] = 0
-
-    yield from walk(mu, n, [0] * n)
+    return (mono for _shape, mono in _iter_leaves(n, n, mu, _gp_step))
 
 
 def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Monomial]:
@@ -219,27 +202,5 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     n = sum(mu)
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    if monomial.exponent(1) != 0:
-        raise NotInBasis(f"{monomial} has positive x1 exponent")
-
-    remaining = list(mu)
-    placed: dict[tuple[int, int], int] = {}
-    for i in range(n, 1, -1):
-        order = dimension_ordering(remaining)
-        alpha = monomial.exponent(i)
-        if alpha >= len(order):
-            raise NotInBasis(
-                f"{monomial} is not in the basis of shape {mu}: "
-                f"no box with dimension-order {alpha + 1} at step i={i}"
-            )
-        row, col = order[alpha]
-        placed[(row, col)] = i
-        remaining[row - 1] -= 1
-    last_row = next(r for r, left in enumerate(remaining, start=1) if left)
-    placed[(last_row, remaining[last_row - 1])] = 1
-
-    rows = [
-        tuple(placed[(r, c)] for c in range(1, length + 1))
-        for r, length in enumerate(mu, start=1)
-    ]
-    return Filling(mu, rows)
+    start = PartialTableau(mu, mu, {})
+    return _descend(n, start, _filling_step, monomial, f"the basis of shape {mu}")

@@ -4,13 +4,27 @@ The four tree constructions in this package (GP-tree, modified GP-tree,
 h-tree, h-tableau-tree) all produce :class:`LabeledTree` instances.  Vertex
 ids are path strings of edge-exponent choices ("r", "r.0", "r.0.2", ...),
 so two runs over the same input serialize identically.
+
+Each construction is one *step function* ``step(level, state)`` that
+returns the children of a vertex left to right, each as ``(variable,
+exponent, child_level, child_state)``: the edge to that child is labelled
+``x_variable^exponent``.  All edges between two levels set the same
+variable, and no variable is set twice on a path.  An empty list marks a
+leaf, whose basis monomial is the product of the edge labels on its path.
+Three helpers drive a step function: :func:`_build_tree` materializes the
+tree, :func:`_iter_leaves` streams its leaves without building it, and
+:func:`_descend` follows the one path that spells a given monomial, which
+is how the inverse maps work.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 
-from .core import Filling, Monomial
+from .core import Filling, Monomial, NotInBasis
+
+# step(level, state) -> [(variable, exponent, child_level, child_state), ...]
+Step = Callable[[object, object], list]
 
 
 class TreeNode:
@@ -51,19 +65,19 @@ class LabeledTree:
         self.n = n
         self.root = root
         self.level_keys = list(level_keys)  # top-down order
+        self._levels: dict | None = None
 
     def levels(self) -> dict:
-        """Mapping level key -> nodes, left to right within each level."""
-        out: dict = {key: [] for key in self.level_keys}
-        stack = [self.root]
-        order: list[TreeNode] = []
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(node.children))
-        for node in order:  # depth-first preorder preserves left-to-right order
-            out[node.level].append(node)
-        return out
+        """Mapping level key -> nodes, left to right within each level.
+
+        Built by one walk on the first call and shared by later calls.
+        """
+        if self._levels is None:
+            out: dict = {key: [] for key in self.level_keys}
+            for node in self.iter_nodes():  # preorder keeps left-to-right order
+                out[node.level].append(node)
+            self._levels = out
+        return self._levels
 
     def level(self, key) -> list[TreeNode]:
         return self.levels()[key]
@@ -133,3 +147,78 @@ class LabeledTree:
             "levels": [str(k) for k in self.level_keys],
             "root": encode(self.root),
         }
+
+
+# -- running a construction's step function -----------------------------------
+
+
+def _build_tree(
+    kind: str, n: int, level, state, step: Step, payload, level_keys, leaf_level=None
+) -> LabeledTree:
+    """Materialize the tree that ``step`` grows from ``state`` at ``level``.
+
+    Every vertex carries ``payload(level, state)``.  At a leaf the path
+    monomial replaces that payload or, given ``leaf_level``, hangs below it
+    as a vertex of its own on an edge labelled 1.
+    """
+    exps = [0] * n
+
+    def grow(node: TreeNode, level, state) -> None:
+        children = step(level, state)
+        if not children:
+            mono = Monomial(exps)
+            if leaf_level is None:
+                node.payload = mono
+            else:
+                leaf = TreeNode(f"{node.node_id}.0", leaf_level, mono, Monomial.one(n))
+                node.children.append(leaf)
+        for var, e, child_level, child_state in children:
+            exps[var - 1] = e
+            child = TreeNode(
+                f"{node.node_id}.{e}",
+                child_level,
+                payload(child_level, child_state),
+                Monomial.variable(n, var, e),
+            )
+            node.children.append(child)
+            grow(child, child_level, child_state)
+
+    root = TreeNode("r", level, payload(level, state), None)
+    grow(root, level, state)
+    return LabeledTree(kind, n, root, level_keys)
+
+
+def _iter_leaves(n: int, level, state, step: Step) -> Iterator[tuple[object, Monomial]]:
+    """Stream ``(leaf state, path monomial)`` left to right without building the tree."""
+    exps = [0] * n
+    stack = step(level, state)[::-1]
+    if not stack:  # the root is the only leaf
+        yield state, Monomial(exps)
+    while stack:
+        var, e, level, state = stack.pop()
+        exps[var - 1] = e  # the variables below this edge are all set again
+        children = step(level, state)
+        if children:
+            stack += children[::-1]
+        else:
+            yield state, Monomial(exps)
+
+
+def _descend(level, state, step: Step, monomial: Sequence[int], basis: str):
+    """The leaf state of the one path whose edge labels multiply to ``monomial``.
+
+    Raises NotInBasis when no child's exponent equals the monomial's exponent
+    of the child's variable, or when an exponent is set by no edge at all.
+    """
+    exps = [0] * len(monomial)
+    while children := step(level, state):
+        for var, e, child_level, child_state in children:
+            if e == monomial[var - 1]:
+                break
+        else:
+            raise NotInBasis(f"{monomial} is not in {basis}: no edge x{var}^{monomial[var - 1]}")
+        exps[var - 1] = e
+        level, state = child_level, child_state
+    if exps != list(monomial):
+        raise NotInBasis(f"{monomial} is not in {basis}")
+    return state

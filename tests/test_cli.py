@@ -14,7 +14,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected an argument
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -62,6 +65,16 @@ class TestGoldenOutputs:
             ("tree_modgp_mu22.dot", ["tree", "--mu", "2,2", "--kind", "modified-gp"]),
             ("tree_h_h233.dot", ["tree", "--h", "2,3,3", "--kind", "h"]),
             ("tree_htab_h3334.dot", ["tree", "--h", "3,3,3,4", "--kind", "h-tableau"]),
+            ("tree_gp_mu22.json", ["tree", "--mu", "2,2", "--kind", "gp", "--format", "json"]),
+            (
+                "tree_modgp_mu22.json",
+                ["tree", "--mu", "2,2", "--kind", "modified-gp", "--format", "json"],
+            ),
+            ("tree_h_h233.json", ["tree", "--h", "2,3,3", "--kind", "h", "--format", "json"]),
+            (
+                "tree_htab_h3334.json",
+                ["tree", "--h", "3,3,3,4", "--kind", "h-tableau", "--format", "json"],
+            ),
         ],
     )
     def test_tree_dot(self, capsys, name, argv):
@@ -238,6 +251,28 @@ class TestExitCodes:
             capsys, "phi", "--h", "1,3,3", "--mu", "2,1", "--filling", "213"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["betti", "--h", "3,3,3", "--mu", "3", "--max-n", "-1"], "positive integer"),
+            (["verify", "--all-n", "0"], "positive integer"),
+            (["phi", "--h", "2,3,3", "--mu", "3", "--filling", "1,2,3,"], "empty entry"),
+            (["psi", "--mu", "2,1", "--monomial", "x2^-1"], "negative exponent"),
+            (["psih", "--h", "2,3,3", "--monomial", "x2^-1"], "negative exponent"),
+        ],
+        ids=["max-n", "all-n", "filling", "psi", "psih"],
+    )
+    def test_invalid_argument(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+
+    def test_invalid_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HESSKIT_MAX_N", "abc")
+        code, _, err = run_cli(capsys, "betti", "--h", "3,3,3", "--mu", "3")
+        assert code == 2
+        assert "HESSKIT_MAX_N" in err
 
     def test_verify_requires_exactly_one_mode(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2

@@ -294,6 +294,9 @@ class TestEnumerationAndBetti:
             enumerate_fillings(springer_h(4), (4,))
         monkeypatch.setenv("HESSKIT_MAX_N", "10")
         assert len(enumerate_fillings(springer_h(4), (4,))) == 1
+        monkeypatch.setenv("HESSKIT_MAX_N", "abc")
+        with pytest.raises(ValueError, match="HESSKIT_MAX_N"):
+            enumerate_fillings(springer_h(4), (4,))
 
 
 class TestSubfillings:

@@ -201,6 +201,8 @@ class TestBasisAndInverse:
             psi_h(h334, Monomial.parse("x3^3", 4))
         with pytest.raises(NotInBasis):
             psi_h(springer_h(3), Monomial.parse("x2", 3))
+        with pytest.raises(NotInBasis):
+            psi_h(make_hessenberg((2, 3, 3)), Monomial((0, -1, 0)))
 
     def test_round_trips(self):
         for n in range(1, 6):

@@ -223,6 +223,8 @@ class TestPsi:
             psi((2, 2), Monomial.parse("x4^2", 4))
         with pytest.raises(NotInBasis):
             psi((2, 2), Monomial.parse("x1", 4))
+        with pytest.raises(NotInBasis):
+            psi((2, 1), Monomial((0, -1, 0)))
 
     def test_result_is_row_strict(self):
         from hesskit import is_row_strict
