@@ -29,7 +29,8 @@ EXIT_CAP = 3
 EXIT_NOT_IN_BASIS = 4
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
+    """The argparse type of --h and --mu; a bad entry names the option and its value."""
     return tuple(int(part) for part in text.split(","))
 
 
@@ -78,8 +79,8 @@ def _pair_text(pairs) -> str:
 
 
 def cmd_fillings(args) -> int:
-    h = HessenbergFunction(_parse_ints(args.h))
-    fillings = core.enumerate_fillings(h, _parse_ints(args.mu), max_n=args.max_n)
+    h = HessenbergFunction(args.h)
+    fillings = core.enumerate_fillings(h, args.mu, max_n=args.max_n)
     records = ({"filling": f, **_phi_record(h, f)} for f in fillings)
     if args.format == "json":
         _emit_json([_json_record(r) for r in records])
@@ -90,8 +91,8 @@ def cmd_fillings(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    h = HessenbergFunction(_parse_ints(args.h))
-    betti = core.betti_numbers(h, _parse_ints(args.mu), max_n=args.max_n)
+    h = HessenbergFunction(args.h)
+    betti = core.betti_numbers(h, args.mu, max_n=args.max_n)
     if args.format == "json":
         _emit_json({"betti": list(betti)})
         return EXIT_OK
@@ -117,11 +118,10 @@ def cmd_tree(args) -> int:
     if not needs_mu and args.h is None:
         raise ValueError(f"--kind {args.kind} requires --h")
     if needs_mu:
-        mu = _parse_ints(args.mu)
         builder = springer.build_gp_tree if args.kind == "gp" else springer.build_modified_gp_tree
-        tree = builder(mu, max_n=args.max_n)
+        tree = builder(args.mu, max_n=args.max_n)
     else:
-        h = HessenbergFunction(_parse_ints(args.h))
+        h = HessenbergFunction(args.h)
         builder = regnilp.build_h_tree if args.kind == "h" else regnilp.build_h_tableau_tree
         tree = builder(h, max_n=args.max_n)
     if args.format == "json":
@@ -132,7 +132,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    h = HessenbergFunction(_parse_ints(args.h))
+    h = HessenbergFunction(args.h)
     generators = polyalg.jh_generators(h)
     if args.format == "json":
         _emit_json([g.to_json() for g in generators])
@@ -146,11 +146,11 @@ def cmd_basis(args) -> int:
     if (args.h is None) == (args.mu is None):
         raise ValueError("exactly one of --h and --mu is required")
     if args.h is not None:
-        h = HessenbergFunction(_parse_ints(args.h))
+        h = HessenbergFunction(args.h)
         core._check_cap(h.n, args.max_n, "basis enumeration")
         basis = regnilp.b_h_basis(h)
     else:
-        basis = springer.garsia_procesi_basis(_parse_ints(args.mu), max_n=args.max_n)
+        basis = springer.garsia_procesi_basis(args.mu, max_n=args.max_n)
     ordered = sorted(basis)
     if args.format == "json":
         _emit_json([m.to_json() for m in ordered])
@@ -161,9 +161,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    h = HessenbergFunction(_parse_ints(args.h))
-    mu = _parse_ints(args.mu)
-    filling = Filling.from_word(mu, _parse_word(args.filling, sum(mu)))
+    h = HessenbergFunction(args.h)
+    filling = Filling.from_word(args.mu, _parse_word(args.filling, sum(args.mu)))
     record = _phi_record(h, filling)
     if args.format == "json":
         _emit_json(_json_record(record))
@@ -174,9 +173,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    mu = _parse_ints(args.mu)
-    monomial = Monomial.parse(args.monomial, sum(mu))
-    filling = springer.psi(mu, monomial)
+    monomial = Monomial.parse(args.monomial, sum(args.mu))
+    filling = springer.psi(args.mu, monomial)
     if args.format == "json":
         _emit_json(filling.to_json())
     else:
@@ -185,7 +183,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_psih(args) -> int:
-    h = HessenbergFunction(_parse_ints(args.h))
+    h = HessenbergFunction(args.h)
     monomial = Monomial.parse(args.monomial, h.n)
     filling = regnilp.psi_h(h, monomial)
     if args.format == "json":
@@ -195,13 +193,17 @@ def cmd_psih(args) -> int:
     return EXIT_OK
 
 
+def _verify_record(h: HessenbergFunction, max_n: int | None) -> dict:
+    report = regnilp.verify_counts(h, max_n=max_n)
+    return {**vars(report), "h": list(h.values), "ok": report.ok()}
+
+
 def cmd_verify(args) -> int:
     if (args.h is None) == (args.all_n is None):
         raise ValueError("exactly one of --h and --all-n is required")
     if args.h is not None:
-        h = HessenbergFunction(_parse_ints(args.h))
-        report = regnilp.verify_counts(h, max_n=args.max_n)
-        record = {**vars(report), "h": list(h.values), "ok": report.ok()}
+        h = HessenbergFunction(args.h)
+        record = _verify_record(h, args.max_n)
         if args.format == "json":
             _emit_json(record)
         else:
@@ -216,12 +218,17 @@ def cmd_verify(args) -> int:
     failures = []
     for h in core.hessenberg_functions(n):
         checked += 1
-        report = regnilp.verify_counts(h, max_n=args.max_n)
+        record = _verify_record(h, args.max_n)
         multisets_equal = sorted(core.nu_tuple(h)) == sorted(core.degree_tuple(h))
-        if not (report.ok() and multisets_equal):
-            failures.append(str(h))
-            _emit(f"FAIL h={h}: {report}")
-    _emit(f"{checked} functions checked, {len(failures)} failures")
+        if not (record["ok"] and multisets_equal):
+            failures.append(record)
+    sweep = {"checked": checked, "failures": failures}
+    if args.format == "json":
+        _emit_json(sweep)
+    else:
+        for record in failures:
+            _emit(f"FAIL {json.dumps(record, sort_keys=True)}")
+        _emit(f"{checked} functions checked, {len(failures)} failures")
     return EXIT_OK
 
 
@@ -238,56 +245,56 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=_positive_int, default=None, help="override the size cap")
 
     p = sub.add_parser("fillings", help="list permissible fillings with pairs and monomials")
-    p.add_argument("--h", required=True, help="Hessenberg values, e.g. 1,3,3")
-    p.add_argument("--mu", required=True, help="shape row lengths, e.g. 2,1")
+    p.add_argument("--h", type=int_list, required=True, help="Hessenberg values, e.g. 1,3,3")
+    p.add_argument("--mu", type=int_list, required=True, help="shape row lengths, e.g. 2,1")
     common(p)
     p.set_defaults(func=cmd_fillings)
 
     p = sub.add_parser("betti", help="even Betti numbers from filling counts")
-    p.add_argument("--h", required=True)
-    p.add_argument("--mu", required=True)
+    p.add_argument("--h", type=int_list, required=True)
+    p.add_argument("--mu", type=int_list, required=True)
     common(p)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("tree", help="serialize one of the four tree constructions")
     p.add_argument("--kind", required=True, choices=("gp", "modified-gp", "h", "h-tableau"))
-    p.add_argument("--h")
-    p.add_argument("--mu")
+    p.add_argument("--h", type=int_list)
+    p.add_argument("--mu", type=int_list)
     common(p, formats=("dot", "json"))
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("ideal", help="generators of the ideal attached to h")
-    p.add_argument("--h", required=True)
+    p.add_argument("--h", type=int_list, required=True)
     common(p)
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("basis", help="monomial basis (staircase for --h, tree leaves for --mu)")
-    p.add_argument("--h")
-    p.add_argument("--mu")
+    p.add_argument("--h", type=int_list)
+    p.add_argument("--mu", type=int_list)
     common(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("phi", help="dimension pairs and monomial image of a filling")
-    p.add_argument("--h", required=True)
-    p.add_argument("--mu", required=True)
+    p.add_argument("--h", type=int_list, required=True)
+    p.add_argument("--mu", type=int_list, required=True)
     p.add_argument("--filling", required=True, help="row-reading word, e.g. 3214 or 2,4/1,3")
     common(p)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("psi", help="filling for a basis monomial (minimal h)")
-    p.add_argument("--mu", required=True)
+    p.add_argument("--mu", type=int_list, required=True)
     p.add_argument("--monomial", required=True, help="e.g. x3*x4^2")
     common(p)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("psih", help="one-row filling for a staircase basis monomial")
-    p.add_argument("--h", required=True)
+    p.add_argument("--h", type=int_list, required=True)
     p.add_argument("--monomial", required=True)
     common(p)
     p.set_defaults(func=cmd_psih)
 
     p = sub.add_parser("verify", help="check the counting identities")
-    p.add_argument("--h")
+    p.add_argument("--h", type=int_list)
     p.add_argument("--all-n", type=_positive_int, default=None, dest="all_n")
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -15,8 +15,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import permutations
+from itertools import accumulate
 
 DEFAULT_MAX_N = 9
 _MAX_N_ENV = "HESSKIT_MAX_N"
@@ -280,15 +281,7 @@ class Monomial(tuple):
         if text in ("1", ""):
             return cls(exps)
         for factor in text.split("*"):
-            base, _, power = factor.partition("^")
-            if not base.startswith("x"):
-                raise ValueError(f"bad monomial factor {factor!r}")
-            i = int(base[1:])
-            if not 1 <= i <= n:
-                raise ValueError(f"variable x{i} out of range for n={n}")
-            e = int(power) if power else 1
-            if e < 0:
-                raise ValueError(f"negative exponent in {factor!r}")
+            i, e = _parse_power(factor, n)
             exps[i - 1] += e
         return cls(exps)
 
@@ -298,6 +291,22 @@ class Monomial(tuple):
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Monomial":
         return cls.from_exponents(data)
+
+
+def _parse_power(factor: str, n: int) -> tuple[int, int]:
+    """Read one factor ``x<i>`` or ``x<i>^<e>`` of the text syntax as (i, e)."""
+    base, caret, power = factor.partition("^")
+    if not base.startswith("x"):
+        raise ValueError(f"bad monomial factor {factor!r}")
+    i = int(base[1:])
+    if not 1 <= i <= n:
+        raise ValueError(f"variable x{i} out of range for n={n}")
+    if caret and not power:
+        raise ValueError(f"empty exponent in {factor!r}")
+    e = int(power) if caret else 1
+    if e < 0:
+        raise ValueError(f"negative exponent in {factor!r}")
+    return i, e
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +502,27 @@ def is_permissible(h: HessenbergFunction, filling: Filling) -> bool:
     return True
 
 
-def _pairs_of_boxes(
-    h: HessenbergFunction, boxes: dict[tuple[int, int], int]
-) -> set[tuple[int, int]]:
-    """Dimension pairs of an arbitrary box set (gaps allowed, read literally)."""
-    items = list(boxes.items())
-    pairs = set()
-    for (ra, ca), a in items:
-        neighbor = boxes.get((ra, ca + 1))
-        cap = h(neighbor) if neighbor is not None else None
-        for (rb, cb), b in items:
-            if b <= a:
-                continue
-            if not (cb < ca or (cb == ca and rb > ra)):
-                continue
-            if cap is not None and b > cap:
-                continue
-            pairs.add((a, b))
-    return pairs
+def _pairs(reading: Sequence[int], caps: Sequence[int]) -> list[tuple[int, int]]:
+    """The dimension-pair kernel, on boxes in column reading order.
+
+    ``reading`` lists the values column by column, left to right, each
+    column bottom to top; ``caps[q]`` is h of the right neighbour of
+    ``reading[q]``, or n when it has none.  In this order b pairs with a
+    exactly when b is read before a and a < b <= cap(a).
+    """
+    return [
+        (a, b)
+        for q, (a, cap) in enumerate(zip(reading, caps))
+        for b in reading[:q]
+        if a < b <= cap
+    ]
+
+
+def _column_reading(h: HessenbergFunction, boxes: dict) -> tuple[list[int], list[int]]:
+    """The values of a box set in column reading order, and their caps."""
+    order = sorted(boxes, key=lambda rc: (rc[1], -rc[0]))
+    caps = [h(boxes[(r, c + 1)]) if (r, c + 1) in boxes else h.n for r, c in order]
+    return [boxes[rc] for rc in order], caps
 
 
 class DimensionPairSet:
@@ -566,14 +578,14 @@ def dimension_pairs(h: HessenbergFunction, filling: Filling) -> DimensionPairSet
     and b <= h(c) whenever a has a right neighbor c."""
     if not is_permissible(h, filling):
         raise NotPermissible(f"{filling} is not permissible for h={h}")
-    return DimensionPairSet(_pairs_of_boxes(h, filling.boxes()))
+    return DimensionPairSet(_pairs(*_column_reading(h, filling.boxes())))
 
 
 def dimension_pairs_partial(
     h: HessenbergFunction, partial: PartialFilling
 ) -> DimensionPairSet:
     """Dimension pairs of a partial filling; columns are read literally by index."""
-    return DimensionPairSet(_pairs_of_boxes(h, partial.boxes))
+    return DimensionPairSet(_pairs(*_column_reading(h, partial.boxes)))
 
 
 def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
@@ -587,24 +599,17 @@ def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
 
 
 def phi_word(h_values: Sequence[int], word: Sequence[int]) -> tuple[int, ...]:
-    """One-row fast path of :func:`phi` on a raw word; returns the exponent tuple.
-
-    Assumes the word is permissible for h; no validation is performed.
-    """
+    """:func:`phi` of a one-row word, which is its own column reading, as an
+    exponent tuple.  Assumes the word is permissible for h; nothing is checked."""
     n = len(word)
     exps = [0] * n
-    for p in range(1, n):
-        a = word[p]
-        cap = h_values[word[p + 1] - 1] if p + 1 < n else n
-        for q in range(p):
-            b = word[q]
-            if b > a and b <= cap:
-                exps[b - 1] += 1
+    for _, b in _pairs(word, [h_values[v - 1] for v in word[1:]] + [n]):
+        exps[b - 1] += 1
     return tuple(exps)
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration and Betti numbers
+# Enumeration and Betti numbers
 
 
 def enumerate_fillings(
@@ -612,8 +617,9 @@ def enumerate_fillings(
 ) -> list[Filling]:
     """All permissible fillings of the shape, in lexicographic word order.
 
-    This is the n!-filter oracle: every placement of 1..n is generated and
-    tested against the adjacency rule.
+    Words grow one box at a time in row-reading order.  Right of k only the
+    values v with k <= h(v) are tried, so a prefix is dropped as soon as it
+    breaks the adjacency rule.
     """
     shape = as_shape(shape)
     n = sum(shape)
@@ -621,18 +627,22 @@ def enumerate_fillings(
         raise ValueError(f"shape {shape} has {n} boxes but h has n={h.n}")
     _check_cap(n, max_n, "filling enumeration")
 
-    # (position of left box, position of right box) per horizontal adjacency
-    adjacent = []
-    start = 0
-    for length in shape:
-        adjacent.extend((start + k, start + k + 1) for k in range(length - 1))
-        start += length
-    hv = h.values
-
+    values = range(1, n + 1)
+    # allowed[k]: the values that may sit right of k; index 0 serves a row start
+    allowed = [values] + [[v for v in values if k <= h(v)] for k in values]
+    row_starts = set(accumulate(shape, initial=0))
     out = []
-    for word in permutations(range(1, n + 1)):
-        if all(word[p] <= hv[word[q] - 1] for p, q in adjacent):
+
+    def extend(word: tuple[int, ...]) -> None:
+        p = len(word)
+        if p == n:
             out.append(Filling.from_word(shape, word))
+            return
+        for v in allowed[0 if p in row_starts else word[-1]]:
+            if v not in word:
+                extend(word + (v,))
+
+    extend(())
     return out
 
 
@@ -641,6 +651,5 @@ def betti_numbers(
 ) -> tuple[int, ...]:
     """Even Betti numbers b_0, b_2, ...: fillings counted by dimension-pair count."""
     fillings = enumerate_fillings(h, shape, max_n=max_n)
-    dims = [len(dimension_pairs(h, f)) for f in fillings]
-    top = max(dims, default=0)
-    return tuple(sum(1 for d in dims if d == k) for k in range(top + 1))
+    counts = Counter(len(_pairs(*_column_reading(h, f.boxes()))) for f in fillings)
+    return tuple(counts[k] for k in range(max(counts, default=0) + 1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import combinations_with_replacement, product
 
-from .core import HessenbergFunction, HesskitError, Monomial, degree_tuple
+from .core import HessenbergFunction, HesskitError, Monomial, _parse_power, degree_tuple
 
 
 class ZeroPolynomial(HesskitError, ValueError):
@@ -205,13 +205,7 @@ class Polynomial:
             exps = [0] * n
             for factor in chunk.split("*"):
                 if factor.startswith("x"):
-                    base, _, power = factor.partition("^")
-                    i = int(base[1:])
-                    if not 1 <= i <= n:
-                        raise ValueError(f"variable x{i} out of range for n={n}")
-                    e = int(power) if power else 1
-                    if e < 0:
-                        raise ValueError(f"negative exponent in {factor!r}")
+                    i, e = _parse_power(factor, n)
                     exps[i - 1] += e
                 else:
                     coef *= int(factor)

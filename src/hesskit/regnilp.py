@@ -167,18 +167,18 @@ class VerifyReport:
 def verify_counts(h: HessenbergFunction, max_n: int | None = None) -> VerifyReport:
     """Check the one-row counting identities for h.
 
-    ``fillings`` is the brute-force n!-filter count, ``leaves`` the tree path
-    count, and ``a_equals_b`` compares the monomial image of the brute-force
-    fillings with the staircase basis, as sets.
+    ``fillings`` counts the permissible words that :func:`enumerate_fillings`
+    finds, ``leaves`` the tree paths, and ``a_equals_b`` compares the
+    monomial image of those fillings with the staircase basis, as sets.
     """
     n = h.n
     _check_cap(n, max_n, "count verification")
-    brute = enumerate_fillings(h, (n,), max_n=max_n)
-    image = {Monomial(phi_word(h.values, f.word)) for f in brute}
+    fillings = enumerate_fillings(h, (n,), max_n=max_n)
+    image = {Monomial(phi_word(h.values, f.word)) for f in fillings}
     leaves = sum(1 for _ in iter_words(h))
     return VerifyReport(
         h=h,
-        fillings=len(brute),
+        fillings=len(fillings),
         leaves=leaves,
         prod_nu=prod(nu_tuple(h)),
         prod_beta=prod(degree_tuple(h)),

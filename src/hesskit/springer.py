@@ -19,16 +19,17 @@ monomial's.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import combinations
 from math import factorial, prod
 
 from .core import (
     Filling,
+    HessenbergFunction,
     HesskitError,
     Monomial,
     _check_cap,
     check_partition,
     dimension_ordering,
+    enumerate_fillings,
 )
 from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
 
@@ -170,24 +171,12 @@ def tree_path_count(mu: Sequence[int]) -> int:
 
 
 def enumerate_row_strict(mu: Sequence[int], max_n: int | None = None) -> list[Filling]:
-    """All row-strict fillings of a partition shape, in lexicographic word order."""
+    """All row-strict fillings of a partition shape, in lexicographic word order;
+    these are the permissible fillings for the minimal h = (1, 2, ..., n)."""
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "row-strict enumeration")
-
-    def distribute(values: tuple[int, ...], rows_left: tuple[int, ...]) -> Iterator[tuple]:
-        if not rows_left:
-            yield ()
-            return
-        take = rows_left[0]
-        for chosen in combinations(values, take):
-            rest = tuple(v for v in values if v not in chosen)
-            for tail in distribute(rest, rows_left[1:]):
-                yield (chosen,) + tail
-
-    fillings = [Filling(mu, rows) for rows in distribute(tuple(range(1, n + 1)), mu)]
-    fillings.sort(key=lambda f: f.word)
-    return fillings
+    return enumerate_fillings(HessenbergFunction(range(1, n + 1)), mu, max_n=max_n)
 
 
 def psi(mu: Sequence[int], monomial: Monomial) -> Filling:

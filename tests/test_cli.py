@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hesskit import Filling, Monomial, Polynomial
+from hesskit import Filling, Monomial, Polynomial, regnilp
 from hesskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,6 +212,30 @@ class TestJsonOutputs:
         assert data["ok"] is True
         assert data["prod_beta"] == 4
 
+    def test_verify_sweep_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all-n", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"checked": 14, "failures": []}
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_verify_sweep_reports_failures(self, capsys, monkeypatch, fmt):
+        counts = regnilp.verify_counts
+
+        def miscounted(h, max_n=None):
+            report = counts(h, max_n=max_n)
+            if h.values == (2, 3, 3):
+                report.leaves += 1
+            return report
+
+        monkeypatch.setattr(regnilp, "verify_counts", miscounted)
+        _, out, _ = run_cli(capsys, "verify", "--all-n", "3", "--format", fmt)
+        if fmt == "json":
+            failures = json.loads(out)["failures"]
+        else:
+            assert out.splitlines()[-1] == "5 functions checked, 1 failures"
+            failures = [json.loads(line[len("FAIL "):]) for line in out.splitlines()[:-1]]
+        assert [(f["h"], f["leaves"], f["ok"]) for f in failures] == [([2, 3, 3], 5, False)]
+
 
 class TestExitCodes:
     def test_invalid_h(self, capsys):
@@ -260,8 +284,13 @@ class TestExitCodes:
             (["phi", "--h", "2,3,3", "--mu", "3", "--filling", "1,2,3,"], "empty entry"),
             (["psi", "--mu", "2,1", "--monomial", "x2^-1"], "negative exponent"),
             (["psih", "--h", "2,3,3", "--monomial", "x2^-1"], "negative exponent"),
+            (["psi", "--mu", "2,1", "--monomial", "x2^"], "empty exponent"),
+            (["psih", "--h", "2,3,3", "--monomial", "x2^"], "empty exponent"),
+            (["betti", "--h", "3,3,3", "--mu", "2,1,"], "--mu: invalid int_list value: '2,1,'"),
+            (["betti", "--h", "3,,3", "--mu", "3"], "--h: invalid int_list value: '3,,3'"),
         ],
-        ids=["max-n", "all-n", "filling", "psi", "psih"],
+        ids=["max-n", "all-n", "filling", "psi", "psih", "psi-empty-power",
+             "psih-empty-power", "mu-empty-entry", "h-empty-entry"],
     )
     def test_invalid_argument(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)

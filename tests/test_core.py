@@ -221,7 +221,7 @@ class TestDimensionPairs:
     def test_matches_brute_oracle_exhaustively(self):
         for n in range(1, 6):
             for h in hessenberg_functions(n):
-                for shape in compositions(n):
+                for shape in compositions(n, allow_zero_rows=True):
                     for word in brute_permissible_words(h.values, shape):
                         f = Filling.from_word(shape, word)
                         assert dimension_pairs(h, f).pairs == brute_pairs(
@@ -271,10 +271,40 @@ class TestEnumerationAndBetti:
         words = [f.word for f in enumerate_fillings(make_hessenberg((3, 3, 3)), (2, 1))]
         assert words == sorted(words)
 
+    def test_matches_brute_oracle_in_order(self):
+        for n in range(1, 7):
+            for h in hessenberg_functions(n):
+                for shape in compositions(n, allow_zero_rows=True):
+                    words = [f.word for f in enumerate_fillings(h, shape)]
+                    assert words == brute_permissible_words(h.values, shape)
+
     def test_betti_vectors(self, h334):
         assert betti_numbers(make_hessenberg((1, 3, 3)), (2, 1)) == (1, 2, 1)
         assert betti_numbers(h334, (4,)) == (1, 2, 2, 1)
         assert betti_numbers(springer_h(5), (5,)) == (1,)
+
+    @pytest.mark.parametrize(
+        "h_values, beta",
+        [
+            ((*range(2, 11), 10), (1,) + (2,) * 9),
+            ((*range(2, 12), 11), (1,) + (2,) * 10),
+            ((*range(3, 11), 10, 10), (1, 2) + (3,) * 8),
+        ],
+        ids=["n10-h2", "n11-h2", "n10-h3"],
+    )
+    def test_one_row_betti_past_brute_force_range(self, h_values, beta):
+        """phi is a degree-preserving bijection onto the staircase, so the
+        one-row Betti numbers are the coefficients of
+        prod_i (1 + q + ... + q^(beta_i - 1))."""
+        h = make_hessenberg(h_values)
+        assert degree_tuple(h) == beta
+        coefficients = [1]
+        for b in beta:
+            coefficients = [
+                sum(coefficients[max(0, k - b + 1) : k + 1])
+                for k in range(len(coefficients) + b - 1)
+            ]
+        assert betti_numbers(h, (h.n,), max_n=h.n) == tuple(coefficients)
 
     def test_betti_sums_to_filling_count(self):
         for h in hessenberg_functions(4):

@@ -271,6 +271,8 @@ class TestSerialization:
             Polynomial.parse("x2^-1", 4)
         with pytest.raises(ValueError):
             Polynomial.parse("", 4)
+        with pytest.raises(ValueError, match="empty exponent"):
+            Polynomial.parse("x2^*x3 + 1", 4)
 
 
 def small_polys(n=3):
