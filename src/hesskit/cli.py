@@ -40,17 +40,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _parse_word(text: str, n: int) -> tuple[int, ...]:
-    """Accept ``2413``, ``2,4,1,3``, or row-separated ``24/13``."""
-    text = text.replace("/", ",") if "," in text else text.replace("/", "")
-    if "," in text:
-        if "" in text.split(","):
+def _parse_word(text: str, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Accept ``2413``, ``2,4,1,3``, or row-separated ``24/13`` or ``2,4/1,3``,
+    whose row lengths must then be ``mu``."""
+    rows = []
+    for part in text.split("/"):
+        entries = part.split(",") if "," in text and part else list(part)
+        if "" in entries:
             raise ValueError(f"empty entry in word {text!r}")
-        word = tuple(int(part) for part in text.split(","))
-    else:
-        word = tuple(int(ch) for ch in text)
-    if len(word) != n:
-        raise ValueError(f"word {text!r} has {len(word)} entries, expected {n}")
+        rows.append([int(entry) for entry in entries])
+    lengths, mu_text = ",".join(str(len(row)) for row in rows), ",".join(map(str, mu))
+    if "/" in text and lengths != mu_text:
+        raise ValueError(f"filling {text!r} has rows of lengths {lengths}, but --mu is {mu_text}")
+    word = tuple(v for row in rows for v in row)
+    if len(word) != sum(mu):
+        raise ValueError(f"word {text!r} has {len(word)} entries, expected {sum(mu)}")
     return word
 
 
@@ -133,6 +137,7 @@ def cmd_tree(args) -> int:
 
 def cmd_ideal(args) -> int:
     h = HessenbergFunction(args.h)
+    core._check_cap(h.n, args.max_n, "ideal generation")
     generators = polyalg.jh_generators(h)
     if args.format == "json":
         _emit_json([g.to_json() for g in generators])
@@ -162,7 +167,7 @@ def cmd_basis(args) -> int:
 
 def cmd_phi(args) -> int:
     h = HessenbergFunction(args.h)
-    filling = Filling.from_word(args.mu, _parse_word(args.filling, sum(args.mu)))
+    filling = Filling.from_word(args.mu, _parse_word(args.filling, args.mu))
     record = _phi_record(h, filling)
     if args.format == "json":
         _emit_json(_json_record(record))
@@ -240,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("plain", "json")):
+    def common(p, formats=("plain", "json"), capped=True):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--max-n", type=_positive_int, default=None, help="override the size cap")
+        if capped:
+            p.add_argument("--max-n", type=_positive_int, help="override the size cap")
 
     p = sub.add_parser("fillings", help="list permissible fillings with pairs and monomials")
     p.add_argument("--h", type=int_list, required=True, help="Hessenberg values, e.g. 1,3,3")
@@ -278,19 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int_list, required=True)
     p.add_argument("--mu", type=int_list, required=True)
     p.add_argument("--filling", required=True, help="row-reading word, e.g. 3214 or 2,4/1,3")
-    common(p)
+    common(p, capped=False)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("psi", help="filling for a basis monomial (minimal h)")
     p.add_argument("--mu", type=int_list, required=True)
     p.add_argument("--monomial", required=True, help="e.g. x3*x4^2")
-    common(p)
+    common(p, capped=False)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("psih", help="one-row filling for a staircase basis monomial")
     p.add_argument("--h", type=int_list, required=True)
     p.add_argument("--monomial", required=True)
-    common(p)
+    common(p, capped=False)
     p.set_defaults(func=cmd_psih)
 
     p = sub.add_parser("verify", help="check the counting identities")

@@ -5,18 +5,20 @@ Conventions used throughout the package:
 * Diagrams are drawn in English orientation, rows top to bottom, boxes flush
   left.  Box coordinates are 1-based ``(row, col)`` pairs with ``(1, 1)`` the
   top-left box.
-* A filling is serialized by its row-reading word (left to right within a
-  row, top row first) together with its list of row lengths.  One-row
-  fillings print as a bare word, e.g. ``54213``.
+* A filling is its row lengths and its row-reading word (left to right
+  within a row, top row first), with 0 for an empty box of a partial
+  filling.  It prints as ``54213``, ``24/13`` or ``1.2``, with commas
+  between entries above 9 boxes.
 * ``Monomial`` is an exponent vector over ``x_1 .. x_n``; slot ``i-1`` holds
   the exponent of ``x_i``.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 
 DEFAULT_MAX_N = 9
@@ -64,6 +66,15 @@ def size_cap(override: int | None = None) -> int:
     return int(env)
 
 
+def as_int(value) -> int:
+    """The value as an int.  Only integers are accepted: anything else, such
+    as 1.9 or "2", raises ValueError instead of being truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
+
+
 def _check_cap(n: int, override: int | None, what: str) -> None:
     cap = size_cap(override)
     if n > cap:
@@ -76,7 +87,7 @@ class HessenbergFunction:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(as_int, values))
         if not vals:
             raise ConstraintViolation("a", 1, "empty sequence is not a Hessenberg function")
         n = len(vals)
@@ -220,7 +231,7 @@ class Monomial(tuple):
 
     @classmethod
     def from_exponents(cls, exps: Sequence[int]) -> "Monomial":
-        m = cls(int(e) for e in exps)
+        m = cls(map(as_int, exps))
         if any(e < 0 for e in m):
             raise ValueError(f"negative exponent in {list(m)}")
         return m
@@ -315,7 +326,7 @@ def _parse_power(factor: str, n: int) -> tuple[int, int]:
 
 def as_shape(rows: Iterable[int]) -> tuple[int, ...]:
     """Normalize a row-length sequence; zero rows are allowed."""
-    shape = tuple(int(r) for r in rows)
+    shape = tuple(map(as_int, rows))
     if any(r < 0 for r in shape):
         raise ValueError(f"negative row length in {shape}")
     return shape
@@ -335,71 +346,78 @@ def check_partition(shape: Iterable[int]) -> tuple[int, ...]:
     return rows
 
 
-class Filling:
-    """Injective placement of 1..n into the boxes of a left-justified shape."""
+class _ShapeWord:
+    """A shape and its row-reading word, 0 marking an empty box: the one form
+    of :class:`Filling` and :class:`PartialFilling`."""
 
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape: Iterable[int], rows: Iterable[Iterable[int]]):
-        self.shape = as_shape(shape)
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if len(self.rows) != len(self.shape) or any(
-            len(row) != length for row, length in zip(self.rows, self.shape)
-        ):
-            raise ValueError(f"rows {self.rows} do not match shape {self.shape}")
-        n = sum(self.shape)
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise ValueError(f"entries {self.word} are not a bijection with 1..{n}")
-
-    @classmethod
-    def from_word(cls, shape: Iterable[int], word: Iterable[int]) -> "Filling":
-        shape = as_shape(shape)
-        word = list(word)
-        rows, start = [], 0
-        for length in shape:
-            rows.append(word[start : start + length])
-            start += length
-        if start != len(word):
-            raise ValueError(f"word of length {len(word)} does not fill shape {shape}")
-        return cls(shape, rows)
+    __slots__ = ("shape", "word")
 
     @property
-    def n(self) -> int:
-        return sum(self.shape)
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        starts = accumulate(self.shape, initial=0)
+        return tuple(self.word[s : s + length] for s, length in zip(starts, self.shape))
 
     def boxes(self) -> dict[tuple[int, int], int]:
-        """Mapping (row, col) -> value, both coordinates 1-based."""
+        """Mapping (row, col) -> value of the filled boxes, both 1-based."""
         return {
             (r, c): v
             for r, row in enumerate(self.rows, start=1)
             for c, v in enumerate(row, start=1)
+            if v
         }
 
-    def position(self, value: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows, start=1):
-            for c, v in enumerate(row, start=1):
-                if v == value:
-                    return (r, c)
-        raise ValueError(f"value {value} not present")
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Filling):
-            return self.shape == other.shape and self.rows == other.rows
+        if type(other) is type(self):
+            return self.shape == other.shape and self.word == other.word
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
+        return hash((self.shape, self.word))
 
     def __str__(self) -> str:
-        sep = "," if self.n > 9 else ""
-        return "/".join(sep.join(str(v) for v in row) for row in self.rows)
+        return filling_text(self.shape, self.word)
 
     def __repr__(self) -> str:
-        return f"Filling(shape={list(self.shape)}, word={list(self.word)})"
+        return f"{type(self).__name__}(shape={list(self.shape)}, word={list(self.word)})"
+
+
+class Filling(_ShapeWord):
+    """Injective placement of 1..n into the boxes of a left-justified shape."""
+
+    __slots__ = ()
+
+    def __init__(self, shape: Iterable[int], rows: Iterable[Iterable[int]]):
+        shape = as_shape(shape)
+        rows = [tuple(row) for row in rows]
+        if [len(row) for row in rows] != list(shape):
+            raise ValueError(f"rows {rows} do not match shape {shape}")
+        self._fill(shape, [v for row in rows for v in row])
+
+    @classmethod
+    def from_word(cls, shape: Iterable[int], word: Iterable[int]) -> "Filling":
+        filling = cls.__new__(cls)
+        filling._fill(as_shape(shape), word)
+        return filling
+
+    def _fill(self, shape: tuple[int, ...], word: Iterable[int]) -> None:
+        word = tuple(map(as_int, word))
+        n = sum(shape)
+        if len(word) != n:
+            raise ValueError(f"word of length {len(word)} does not fill shape {shape}")
+        if sorted(word) != list(range(1, n + 1)):
+            raise ValueError(f"entries {word} are not a bijection with 1..{n}")
+        self.shape = shape
+        self.word = word
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
+
+    def position(self, value: int) -> tuple[int, int]:
+        for rc, v in self.boxes().items():
+            if v == value:
+                return rc
+        raise ValueError(f"value {value} not present")
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "word": list(self.word)}
@@ -409,52 +427,56 @@ class Filling:
         return cls.from_word(data["shape"], data["word"])
 
 
-class PartialFilling:
-    """Some boxes of a diagram with values; rows may have gaps.
+class PartialFilling(_ShapeWord):
+    """Some boxes of a shape with values; rows may have gaps.
 
-    Produced by :func:`subfilling`.  The box set need not be a composition:
-    re-assemble one with :meth:`composition` when the rows are gap-free.
+    Produced by :func:`subfilling` and carried by the partial states of the
+    modified GP-tree.  Re-assemble the filled boxes as a composition with
+    :meth:`composition` when no row has a gap.
     """
 
-    __slots__ = ("boxes",)
+    __slots__ = ()
 
-    def __init__(self, boxes: dict[tuple[int, int], int]):
-        self.boxes = dict(boxes)
+    def __init__(self, shape: Iterable[int], word: Iterable[int]):
+        self.shape = as_shape(shape)
+        self.word = tuple(map(as_int, word))
+        if len(self.word) != sum(self.shape):
+            raise ValueError(f"word {list(self.word)} does not fill shape {self.shape}")
 
-    def row_columns(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for (r, c) in self.boxes:
-            out.setdefault(r, []).append(c)
-        for cols in out.values():
-            cols.sort()
-        return out
+    boxes = property(_ShapeWord.boxes)  # an attribute of a partial filling
 
     def is_composition(self) -> bool:
-        """True when every row's boxes are exactly columns 1..k."""
-        return all(cols == list(range(1, len(cols) + 1)) for cols in self.row_columns().values())
+        """True when every row's filled boxes are exactly its first columns."""
+        return all(0 not in row[: len(row) - row.count(0)] for row in self.rows)
 
     def composition(self) -> tuple[int, ...]:
         """Row lengths, including zero rows up to the deepest occupied row."""
         if not self.is_composition():
             raise ValueError("rows contain gaps; not a composition")
-        by_row = self.row_columns()
-        depth = max(by_row, default=0)
-        return tuple(len(by_row.get(r, ())) for r in range(1, depth + 1))
+        lengths = [len(row) - row.count(0) for row in self.rows]
+        while lengths and not lengths[-1]:
+            lengths.pop()
+        return tuple(lengths)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PartialFilling):
-            return self.boxes == other.boxes
-        return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"PartialFilling({self.boxes})"
+def filling_text(shape: Sequence[int], word: Sequence[int]) -> str:
+    """The text of a filling or partial filling: rows top to bottom joined by
+    ``/``, ``.`` for an empty box (0), and ``,`` between the entries of a
+    row once the shape has more than 9 boxes."""
+    cells = map(str, word) if 0 not in word else [str(v) if v else "." for v in word]
+    sep = "," if len(word) > 9 else ""
+    if len(shape) == 1:
+        return sep.join(cells)
+    cells = list(cells)
+    starts = accumulate(shape, initial=0)
+    return "/".join(sep.join(cells[s : s + length]) for s, length in zip(starts, shape))
 
 
 def subfilling(filling: Filling, i: int) -> PartialFilling:
     """Restriction T^(i): drop the values above i together with their boxes."""
     if not 1 <= i <= filling.n:
         raise ValueError(f"i={i} out of range 1..{filling.n}")
-    return PartialFilling({rc: v for rc, v in filling.boxes().items() if v <= i})
+    return PartialFilling(filling.shape, [v if v <= i else 0 for v in filling.word])
 
 
 def is_row_strict(filling: Filling) -> bool:
@@ -518,11 +540,26 @@ def _pairs(reading: Sequence[int], caps: Sequence[int]) -> list[tuple[int, int]]
     ]
 
 
-def _column_reading(h: HessenbergFunction, boxes: dict) -> tuple[list[int], list[int]]:
-    """The values of a box set in column reading order, and their caps."""
-    order = sorted(boxes, key=lambda rc: (rc[1], -rc[0]))
-    caps = [h(boxes[(r, c + 1)]) if (r, c + 1) in boxes else h.n for r, c in order]
-    return [boxes[rc] for rc in order], caps
+def _column_reader(shape: Sequence[int]) -> Callable:
+    """``read(h, word)``: the filled boxes of a row-reading word of the shape
+    (0 marks an empty box) in column reading order, and their caps.
+
+    A box's right neighbour is the next word position in its row; an empty
+    neighbour, or none (position -1 of the padded word), gives cap n.
+    """
+    starts = list(accumulate(shape, initial=0))
+    order = [
+        (s + c, s + c + 1 if c + 1 < length else -1)
+        for c in range(max(shape, default=0))
+        for s, length in reversed(list(zip(starts, shape)))
+        if c < length
+    ]
+
+    def read(h: HessenbergFunction, word: Sequence[int]) -> tuple[list[int], list[int]]:
+        word, cap = (*word, 0), (h.n, *h.values)  # cap[v] = h(v), cap[0] = n
+        return [word[p] for p, _ in order if word[p]], [cap[word[q]] for p, q in order if word[p]]
+
+    return read
 
 
 class DimensionPairSet:
@@ -578,14 +615,14 @@ def dimension_pairs(h: HessenbergFunction, filling: Filling) -> DimensionPairSet
     and b <= h(c) whenever a has a right neighbor c."""
     if not is_permissible(h, filling):
         raise NotPermissible(f"{filling} is not permissible for h={h}")
-    return DimensionPairSet(_pairs(*_column_reading(h, filling.boxes())))
+    return DimensionPairSet(_pairs(*_column_reader(filling.shape)(h, filling.word)))
 
 
 def dimension_pairs_partial(
     h: HessenbergFunction, partial: PartialFilling
 ) -> DimensionPairSet:
     """Dimension pairs of a partial filling; columns are read literally by index."""
-    return DimensionPairSet(_pairs(*_column_reading(h, partial.boxes)))
+    return DimensionPairSet(_pairs(*_column_reader(partial.shape)(h, partial.word)))
 
 
 def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
@@ -651,5 +688,6 @@ def betti_numbers(
 ) -> tuple[int, ...]:
     """Even Betti numbers b_0, b_2, ...: fillings counted by dimension-pair count."""
     fillings = enumerate_fillings(h, shape, max_n=max_n)
-    counts = Counter(len(_pairs(*_column_reading(h, f.boxes()))) for f in fillings)
+    read = _column_reader(shape)
+    counts = Counter(len(_pairs(*read(h, f.word))) for f in fillings)
     return tuple(counts[k] for k in range(max(counts, default=0) + 1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import combinations_with_replacement, product
 
-from .core import HessenbergFunction, HesskitError, Monomial, _parse_power, degree_tuple
+from .core import HessenbergFunction, HesskitError, Monomial, _parse_power, as_int, degree_tuple
 
 
 class ZeroPolynomial(HesskitError, ValueError):
@@ -46,7 +46,7 @@ class Polynomial:
                     continue
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} has length != {n}")
-                self.terms[tuple(exps)] = int(coef)
+                self.terms[tuple(exps)] = as_int(coef)
 
     # -- constructors -------------------------------------------------------
 
@@ -224,8 +224,8 @@ class Polynomial:
         n = len(entries[0]["exps"])
         terms: dict[_Exps, int] = {}
         for entry in entries:
-            key = tuple(int(e) for e in entry["exps"])
-            terms[key] = terms.get(key, 0) + int(entry["coef"])
+            key = tuple(map(as_int, entry["exps"]))
+            terms[key] = terms.get(key, 0) + as_int(entry["coef"])
         return cls(n, terms)
 
 

@@ -19,6 +19,7 @@ monomial's.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import accumulate
 from math import factorial, prod
 
 from .core import (
@@ -26,65 +27,13 @@ from .core import (
     HessenbergFunction,
     HesskitError,
     Monomial,
+    PartialFilling,
     _check_cap,
     check_partition,
     dimension_ordering,
     enumerate_fillings,
 )
 from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
-
-
-class PartialTableau:
-    """A shape with values i..n already written into some far-right boxes.
-
-    ``remaining[r-1]`` unfilled boxes sit flush left in row r; the filled
-    boxes of row r are the columns above that.
-    """
-
-    __slots__ = ("shape", "remaining", "filled")
-
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        remaining: tuple[int, ...],
-        filled: dict[tuple[int, int], int],
-    ):
-        self.shape = shape
-        self.remaining = remaining
-        self.filled = filled
-
-    def place(self, row: int, col: int, value: int) -> "PartialTableau":
-        rem = list(self.remaining)
-        rem[row - 1] -= 1
-        return PartialTableau(self.shape, tuple(rem), {**self.filled, (row, col): value})
-
-    def to_filling(self) -> Filling:
-        if any(self.remaining):
-            raise ValueError("tableau is not complete")
-        rows = [
-            tuple(self.filled[(r, c)] for c in range(1, length + 1))
-            for r, length in enumerate(self.shape, start=1)
-        ]
-        return Filling(self.shape, rows)
-
-    def __str__(self) -> str:
-        parts = []
-        for r, length in enumerate(self.shape, start=1):
-            parts.append(
-                "".join(
-                    str(self.filled[(r, c)]) if (r, c) in self.filled else "."
-                    for c in range(1, length + 1)
-                )
-            )
-        return "/".join(parts)
-
-    def __repr__(self) -> str:
-        return f"PartialTableau({self})"
-
-
-def _state(level: int, state):
-    """Vertex payload of both trees: the diagram, partial tableau or filling itself."""
-    return state
 
 
 def _gp_step(level: int, shape: tuple[int, ...]) -> list:
@@ -103,16 +52,30 @@ def _gp_step(level: int, shape: tuple[int, ...]) -> list:
     return children
 
 
-def _filling_step(level: int, state: PartialTableau | Filling) -> list:
-    """The box-filling step: the edge x_i^j writes i into the empty box with
-    dimension-order j+1; the last value completes the filling."""
-    if level == 0:
-        return []
-    children = []
-    for j, (row, col) in enumerate(dimension_ordering(state.remaining)):
-        child = state.place(row, col, level)
-        children.append((level, j, level - 1, child.to_filling() if level == 1 else child))
-    return children
+def _filling_step(mu: tuple[int, ...]):
+    """The box-filling step on row-reading words of mu, 0 marking an empty box:
+    the edge x_i^j writes i into the empty box with dimension-order j+1; the
+    last value completes the filling.
+
+    The empty boxes of each row stay flush left, so a row's empty-box count
+    is the column of its far-right empty box.
+    """
+    starts = list(accumulate(mu, initial=0))
+
+    def step(level: int, word: tuple[int, ...]) -> list:
+        if level == 0:
+            return []
+        remaining = [word[s : s + length].count(0) for s, length in zip(starts, mu)]
+        children = []
+        for j, (row, col) in enumerate(dimension_ordering(remaining)):
+            p = starts[row - 1] + col - 1
+            child = word[:p] + (level,) + word[p + 1 :]
+            if level == 1:
+                child = Filling.from_word(mu, child)
+            children.append((level, j, level - 1, child))
+        return children
+
+    return step
 
 
 def build_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
@@ -125,22 +88,25 @@ def build_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "GP-tree construction")
-    return _build_tree("gp", n, n, mu, _gp_step, _state, range(n, 0, -1))
+    return _build_tree("gp", n, n, mu, _gp_step, lambda level, shape: shape, range(n, 0, -1))
 
 
 def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
     """GP-tree variant that fills boxes instead of deleting them.
 
-    Levels n..1 carry partial tableaux, Level 0 the completed row-strict
+    Levels n..1 carry partial fillings, Level 0 the completed row-strict
     fillings, and Level B the basis monomials, each directly below the
     filling that maps to it.
     """
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "modified GP-tree construction")
-    start = PartialTableau(mu, mu, {})
+
+    def payload(level: int, state):
+        return PartialFilling(mu, state) if level else state
+
     levels = [*range(n, -1, -1), "B"]
-    return _build_tree("modified-gp", n, n, start, _filling_step, _state, levels, "B")
+    return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, levels, "B")
 
 
 def iter_basis_monomials(mu: Sequence[int]) -> Iterator[Monomial]:
@@ -191,5 +157,4 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     n = sum(mu)
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    start = PartialTableau(mu, mu, {})
-    return _descend(n, start, _filling_step, monomial, f"the basis of shape {mu}")
+    return _descend(n, (0,) * n, _filling_step(mu), monomial, f"the basis of shape {mu}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-from .core import Filling, Monomial, NotInBasis
+from .core import Filling, Monomial, NotInBasis, filling_text
 
 # step(level, state) -> [(variable, exponent, child_level, child_state), ...]
 Step = Callable[[object, object], list]
@@ -51,8 +51,7 @@ def _render_payload(payload, kind: str = "") -> str:
         return str(payload)
     if isinstance(payload, tuple) and payload and all(isinstance(v, int) for v in payload):
         if kind == "h-tableau":  # partial words read like fillings, not shapes
-            sep = "," if len(payload) > 9 else ""
-            return sep.join(str(v) for v in payload)
+            return filling_text((len(payload),), payload)
         return ",".join(str(v) for v in payload)
     return str(payload)
 

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, JSON round trips, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,15 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[0] == "1"
 
+    def test_ideal_cap(self, capsys):
+        h = ",".join(str(i) for i in range(1, 11))
+        code, _, err = run_cli(capsys, "ideal", "--h", h)
+        assert code == 3
+        assert "n=10" in err
+        code, out, _ = run_cli(capsys, "ideal", "--h", h, "--max-n", "10")
+        assert code == 0
+        assert len(out.splitlines()) == 10
+
     def test_not_in_basis(self, capsys):
         code, _, err = run_cli(capsys, "psih", "--h", "3,3,3,4", "--monomial", "x4")
         assert code == 4
@@ -288,9 +298,16 @@ class TestExitCodes:
             (["psih", "--h", "2,3,3", "--monomial", "x2^"], "empty exponent"),
             (["betti", "--h", "3,3,3", "--mu", "2,1,"], "--mu: invalid int_list value: '2,1,'"),
             (["betti", "--h", "3,,3", "--mu", "3"], "--h: invalid int_list value: '3,,3'"),
+            (["phi", "--h", "3,3,3", "--mu", "1,2", "--filling", "12/3"],
+             "filling '12/3' has rows of lengths 2,1, but --mu is 1,2"),
+            (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "12/3"],
+             "filling '12/3' has rows of lengths 2,1, but --mu is 3"),
+            (["psi", "--mu", "2,1", "--monomial", "x2", "--max-n", "5"],
+             "unrecognized arguments: --max-n 5"),
         ],
         ids=["max-n", "all-n", "filling", "psi", "psih", "psi-empty-power",
-             "psih-empty-power", "mu-empty-entry", "h-empty-entry"],
+             "psih-empty-power", "mu-empty-entry", "h-empty-entry", "filling-rows-vs-mu",
+             "filling-rows-vs-one-row", "psi-max-n"],
     )
     def test_invalid_argument(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -306,6 +323,39 @@ class TestExitCodes:
     def test_verify_requires_exactly_one_mode(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2
         assert run_cli(capsys, "verify", "--h", "1,2", "--all-n", "3")[0] == 2
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.splitlines() if line.startswith("hesskit ")]
+
+
+# outputs the README states for its examples, and the command that prints each
+README_OUTPUTS = {
+    "1,2,2,1": "hesskit betti",
+    "54213": "hesskit psih",
+    "42 functions checked, 0 failures": "hesskit verify --all-n",
+}
+
+
+@pytest.mark.parametrize(
+    "line", _readme_commands(), ids=lambda line: " ".join(shlex.split(line, comments=True)[1:3])
+)
+def test_readme_example(capsys, line):
+    argv = shlex.split(line, comments=True)
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == 0, err
+    for output, command in README_OUTPUTS.items():
+        if line.startswith(command):
+            assert output in line.split("#", 1)[1]  # the README still states it
+            assert output in out.splitlines()
+
+
+def test_readme_states_every_checked_output():
+    lines = _readme_commands()
+    for command in README_OUTPUTS.values():
+        assert any(line.startswith(command) for line in lines)
 
 
 def test_module_entry_point():

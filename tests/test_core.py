@@ -13,6 +13,8 @@ from hesskit import (
     HessenbergFunction,
     Monomial,
     NotPermissible,
+    PartialFilling,
+    Polynomial,
     SizeLimitExceeded,
     betti_numbers,
     degree_tuple,
@@ -30,7 +32,7 @@ from hesskit import (
     phi,
     subfilling,
 )
-from hesskit.core import phi_word
+from hesskit.core import as_shape, phi_word
 
 from conftest import springer_h
 from oracles import brute_pairs, brute_permissible_words, compositions
@@ -346,6 +348,27 @@ class TestSubfillings:
         assert sub.boxes == {(1, 1): 1, (1, 2): 2, (2, 1): 3}
         assert sub.composition() == (2, 1)
 
+    def test_gapped_subfilling(self):
+        sub = subfilling(Filling.from_word((3,), (1, 3, 2)), 2)
+        assert str(sub) == "1.2"
+        assert sub == PartialFilling((3,), (1, 0, 2))
+        assert sub != PartialFilling((3,), (1, 2, 0))
+        assert not sub.is_composition()
+        with pytest.raises(ValueError, match="gaps"):
+            sub.composition()
+        # above 9 boxes, commas separate the entries, empty boxes included
+        sub = subfilling(Filling.from_word((6, 4), (1, 2, 3, 5, 6, 7, 4, 8, 9, 10)), 8)
+        assert str(sub) == "1,2,3,5,6,7/4,8,.,."
+
+    def test_gap_free_subfilling_with_zero_row(self):
+        sub = subfilling(Filling.from_word((2, 0, 2), (1, 2, 3, 4)), 3)
+        assert str(sub) == "12//3."
+        assert sub == PartialFilling((2, 0, 2), (1, 2, 3, 0))
+        assert sub != PartialFilling((2, 2), (1, 2, 3, 0))
+        assert sub.boxes == {(1, 1): 1, (1, 2): 2, (3, 1): 3}
+        assert sub.composition() == (2, 0, 1)
+        assert subfilling(Filling.from_word((1, 1, 2), (1, 2, 3, 4)), 2).composition() == (1, 1)
+
     def test_row_strict_iff_subfilling_property(self):
         for n in range(1, 6):
             for shape in compositions(n):
@@ -471,3 +494,20 @@ def test_phi_image_avoids_x1_randomized(values):
     n = h.n
     for f in enumerate_fillings(h, (n,)):
         assert phi(h, f).exponent(1) == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HessenbergFunction([1.9, 2.2]),
+        lambda: Filling.from_json({"shape": [2], "word": [1.7, 2]}),
+        lambda: Monomial.from_json([0.5, 1.9]),
+        lambda: as_shape([2.5, 0.6]),
+        lambda: Polynomial.from_json([{"exps": [1, 0.5], "coef": 1}]),
+        lambda: Polynomial.from_json([{"exps": [1, 0], "coef": 1.5}]),
+    ],
+    ids=["hessenberg", "filling", "monomial", "shape", "poly-exponent", "poly-coefficient"],
+)
+def test_non_integers_are_refused_not_truncated(build):
+    with pytest.raises(ValueError, match="is not an integer"):
+        build()

@@ -1,5 +1,7 @@
 """GP-trees, modified GP-trees, the inverse map, and the monomial basis."""
 
+import json
+import re
 from math import factorial
 
 import pytest
@@ -8,6 +10,7 @@ from hesskit import (
     Filling,
     Monomial,
     NotInBasis,
+    PartialFilling,
     SizeLimitExceeded,
     build_gp_tree,
     build_modified_gp_tree,
@@ -17,6 +20,7 @@ from hesskit import (
     phi,
     psi,
 )
+from hesskit.cli import main
 from hesskit.springer import iter_basis_monomials, tree_path_count
 
 from conftest import springer_h
@@ -119,13 +123,37 @@ class TestModifiedGpTree:
             if node.level in (4, "B") or isinstance(node.payload, Monomial):
                 continue
             state = node.payload
-            filled = state.boxes() if isinstance(state, Filling) else state.filled
+            filled = state.boxes() if isinstance(state, Filling) else state.boxes
             leaf_fill = node
             while leaf_fill.level != 0:
                 leaf_fill = leaf_fill.children[0]
             final = leaf_fill.payload.boxes()
             for coord, value in filled.items():
                 assert final[coord] == value
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_partial_labels_spell_their_words_above_nine_boxes(self, capsys, fmt):
+        tree = build_modified_gp_tree((6, 4), max_n=10)
+        words = {
+            node.node_id: node.payload.word
+            for node in tree.iter_nodes()
+            if isinstance(node.payload, PartialFilling)
+        }
+        assert main(["tree", "--kind", "modified-gp", "--mu", "6,4", "--max-n", "10",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "dot":
+            labels = dict(re.findall(r'^  "([^"]+)" \[label="([^"]*)"\];$', out, re.M))
+        else:
+            labels, stack = {}, [json.loads(out)["root"]]
+            while stack:
+                entry = stack.pop()
+                labels[entry["id"]] = entry["label"]
+                stack += entry.get("children", [])
+        assert len(words) > tree_path_count((6, 4))  # level 1 alone has one per path
+        for node_id, word in words.items():
+            cells = re.split("[/,]", labels[node_id])
+            assert tuple(0 if cell == "." else int(cell) for cell in cells) == word
 
 
 class TestBasis:
