@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import os
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
@@ -149,9 +150,10 @@ def degree_tuple(h: HessenbergFunction) -> tuple[int, ...]:
 
     The conventional display order reverses this tuple (beta_n first); use
     ``degree_tuple(h)[::-1]`` for that rendering.  beta_1 is always 1.
+    h is nondecreasing, so the count is a bisection of its values.
     """
     vals = h.values
-    return tuple(i - sum(1 for v in vals if v < i) for i in range(1, h.n + 1))
+    return tuple(i - bisect_left(vals, i) for i in range(1, h.n + 1))
 
 
 def nu_tuple(h: HessenbergFunction) -> tuple[int, ...]:
@@ -259,15 +261,6 @@ class Monomial(tuple):
         if not isinstance(other, tuple):
             return NotImplemented
         return Monomial(a + b for a, b in zip(self, other, strict=True))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other, strict=True))
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self, other, strict=True))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(max(a, b) for a, b in zip(self, other, strict=True))
@@ -568,7 +561,7 @@ class DimensionPairSet:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs = frozenset((int(a), int(b)) for a, b in pairs)
+        self.pairs = frozenset((as_int(a), as_int(b)) for a, b in pairs)
 
     def sorted(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)

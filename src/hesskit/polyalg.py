@@ -42,11 +42,13 @@ class Polynomial:
         self.terms: dict[_Exps, int] = {}
         if terms:
             for exps, coef in terms.items():
-                if coef == 0:
-                    continue
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} has length != {n}")
-                self.terms[tuple(exps)] = as_int(coef)
+                key = tuple(map(as_int, exps))
+                if any(e < 0 for e in key):
+                    raise ValueError(f"negative exponent in {list(key)}")
+                if coef != 0:
+                    self.terms[key] = as_int(coef)
 
     # -- constructors -------------------------------------------------------
 
@@ -224,7 +226,7 @@ class Polynomial:
         n = len(entries[0]["exps"])
         terms: dict[_Exps, int] = {}
         for entry in entries:
-            key = tuple(map(as_int, entry["exps"]))
+            key = tuple(entry["exps"])
             terms[key] = terms.get(key, 0) + as_int(entry["coef"])
         return cls(n, terms)
 
@@ -236,7 +238,7 @@ def modified_complete_symmetric(r: int, variables: Iterable[int], n: int) -> Pol
     a variable subset, e.g. degree 2 in {x3, x4} gives x3^2 + x3*x4 + x4^2.
     The term count is C(r + s - 1, r) for s variables.
     """
-    indices = sorted(set(int(i) for i in variables))
+    indices = sorted(set(map(as_int, variables)))
     if not indices:
         raise ValueError("variable set must be nonempty")
     if any(not 1 <= i <= n for i in indices):

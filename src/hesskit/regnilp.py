@@ -67,19 +67,21 @@ def _h_step(h: HessenbergFunction):
     hv = h.values
     beta = degree_tuple(h)
 
-    def step(level: int, word: tuple[int, ...]) -> list:
+    def step(level: int, word: tuple[int, ...]):
         i = level + 1
         if i > n:
-            return []
-        slots = _bullets(hv, word, i)
+            return None
+        slots = _bullets(hv, word, i)  # rightmost first: slots[e] is slot e+1
         if len(slots) != beta[level]:
             raise HesskitError(
                 f"h={h}: {len(slots)} slots for i={i}, expected beta_i={beta[level]}"
             )
-        return [
-            (i, e, i, word[:p] + (i,) + word[p:])
-            for e, p in zip(range(len(slots) - 1, -1, -1), reversed(slots))
-        ]
+
+        def child(e: int) -> tuple[int, ...]:
+            p = slots[e]
+            return word[:p] + (i,) + word[p:]
+
+        return i, range(len(slots) - 1, -1, -1), i, child
 
     return step
 
@@ -92,7 +94,7 @@ def iter_words(h: HessenbergFunction) -> Iterator[tuple[tuple[int, ...], Monomia
 def _h_tree(h: HessenbergFunction, max_n: int | None, kind: str, payload) -> LabeledTree:
     n = h.n
     _check_cap(n, max_n, "tree construction")
-    return _build_tree(kind, n, 1, (1,), _h_step(h), payload, range(1, n + 2), n + 1)
+    return _build_tree(kind, n, 1, (1,), _h_step(h), payload, n + 1)
 
 
 def build_h_tree(h: HessenbergFunction, max_n: int | None = None) -> LabeledTree:

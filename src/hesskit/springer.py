@@ -36,20 +36,21 @@ from .core import (
 from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
 
 
-def _gp_step(level: int, shape: tuple[int, ...]) -> list:
+def _gp_step(level: int, shape: tuple[int, ...]):
     """The box-deleting step: the edge x_i^j deletes the box with dimension-order j+1."""
-    if level == 1:
-        return []
-    children = []
-    for j, (row, _col) in enumerate(dimension_ordering(shape)):
+    if level <= 1:
+        return None
+    order = dimension_ordering(shape)
+
+    def child(j: int) -> tuple[int, ...]:
         rows = list(shape)
-        rows[row - 1] -= 1
+        rows[order[j][0] - 1] -= 1
         # Deleting a far-right box can leave a column hanging below a shorter
         # row; pushing the column's boxes up restores weakly decreasing rows,
         # which is exactly the descending re-sort of the nonzero row lengths.
-        child = tuple(sorted((r for r in rows if r > 0), reverse=True))
-        children.append((level, j, level - 1, child))
-    return children
+        return tuple(sorted((r for r in rows if r > 0), reverse=True))
+
+    return level, range(len(order)), level - 1, child
 
 
 def _filling_step(mu: tuple[int, ...]):
@@ -62,18 +63,19 @@ def _filling_step(mu: tuple[int, ...]):
     """
     starts = list(accumulate(mu, initial=0))
 
-    def step(level: int, word: tuple[int, ...]) -> list:
+    def step(level: int, word: tuple[int, ...]):
         if level == 0:
-            return []
+            return None
         remaining = [word[s : s + length].count(0) for s, length in zip(starts, mu)]
-        children = []
-        for j, (row, col) in enumerate(dimension_ordering(remaining)):
+        order = dimension_ordering(remaining)
+
+        def child(j: int):
+            row, col = order[j]
             p = starts[row - 1] + col - 1
-            child = word[:p] + (level,) + word[p + 1 :]
-            if level == 1:
-                child = Filling.from_word(mu, child)
-            children.append((level, j, level - 1, child))
-        return children
+            filled = word[:p] + (level,) + word[p + 1 :]
+            return Filling.from_word(mu, filled) if level == 1 else filled
+
+        return level, range(len(order)), level - 1, child
 
     return step
 
@@ -88,7 +90,7 @@ def build_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "GP-tree construction")
-    return _build_tree("gp", n, n, mu, _gp_step, lambda level, shape: shape, range(n, 0, -1))
+    return _build_tree("gp", n, n, mu, _gp_step, lambda level, shape: shape)
 
 
 def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> LabeledTree:
@@ -105,8 +107,7 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     def payload(level: int, state):
         return PartialFilling(mu, state) if level else state
 
-    levels = [*range(n, -1, -1), "B"]
-    return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, levels, "B")
+    return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
 
 
 def iter_basis_monomials(mu: Sequence[int]) -> Iterator[Monomial]:

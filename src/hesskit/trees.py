@@ -5,16 +5,16 @@ h-tree, h-tableau-tree) all produce :class:`LabeledTree` instances.  Vertex
 ids are path strings of edge-exponent choices ("r", "r.0", "r.0.2", ...),
 so two runs over the same input serialize identically.
 
-Each construction is one *step function* ``step(level, state)`` that
-returns the children of a vertex left to right, each as ``(variable,
-exponent, child_level, child_state)``: the edge to that child is labelled
-``x_variable^exponent``.  All edges between two levels set the same
-variable, and no variable is set twice on a path.  An empty list marks a
-leaf, whose basis monomial is the product of the edge labels on its path.
-Three helpers drive a step function: :func:`_build_tree` materializes the
-tree, :func:`_iter_leaves` streams its leaves without building it, and
-:func:`_descend` follows the one path that spells a given monomial, which
-is how the inverse maps work.
+Each construction is one *step function* ``step(level, state)``.  At a
+leaf it returns ``None``; otherwise ``(variable, exponents, child_level,
+child)``: ``exponents`` is the range of edge exponents left to right, and
+``child(e)`` builds the one state at the end of the edge ``x_variable^e``.
+So all edges between two levels set the same variable, and no variable is
+set twice on a path.  A leaf's basis monomial is the product of the edge
+labels on its path.  Three helpers drive a step function: :func:`_build_tree`
+materializes the tree, :func:`_iter_leaves` streams its leaves without
+building it, and :func:`_descend` follows the one path that spells a given
+monomial, building one state per level, which is how the inverse maps work.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .core import Filling, Monomial, NotInBasis, filling_text
 
-# step(level, state) -> [(variable, exponent, child_level, child_state), ...]
-Step = Callable[[object, object], list]
+# step(level, state) -> None | (variable, exponents, child_level, child)
+Step = Callable[[object, object], tuple | None]
 
 
 class TreeNode:
@@ -59,23 +59,15 @@ def _render_payload(payload, kind: str = "") -> str:
 class LabeledTree:
     """A built tree: immutable after construction, safe to share."""
 
-    def __init__(self, kind: str, n: int, root: TreeNode, level_keys: list):
+    def __init__(self, kind: str, n: int, root: TreeNode, levels: dict):
         self.kind = kind
         self.n = n
         self.root = root
-        self.level_keys = list(level_keys)  # top-down order
-        self._levels: dict | None = None
+        self._levels = levels
+        self.level_keys = list(levels)  # top-down order
 
     def levels(self) -> dict:
-        """Mapping level key -> nodes, left to right within each level.
-
-        Built by one walk on the first call and shared by later calls.
-        """
-        if self._levels is None:
-            out: dict = {key: [] for key in self.level_keys}
-            for node in self.iter_nodes():  # preorder keeps left-to-right order
-                out[node.level].append(node)
-            self._levels = out
+        """Mapping level key -> nodes, left to right within each level."""
         return self._levels
 
     def level(self, key) -> list[TreeNode]:
@@ -152,72 +144,73 @@ class LabeledTree:
 
 
 def _build_tree(
-    kind: str, n: int, level, state, step: Step, payload, level_keys, leaf_level=None
+    kind: str, n: int, level, state, step: Step, payload, leaf_level=None
 ) -> LabeledTree:
     """Materialize the tree that ``step`` grows from ``state`` at ``level``.
 
     Every vertex carries ``payload(level, state)``.  At a leaf the path
     monomial replaces that payload or, given ``leaf_level``, hangs below it
-    as a vertex of its own on an edge labelled 1.
+    as a vertex of its own on an edge labelled 1.  Vertices are grown in
+    preorder, so each level's list fills left to right.
     """
     exps = [0] * n
+    levels: dict = {}
 
     def grow(node: TreeNode, level, state) -> None:
-        children = step(level, state)
-        if not children:
-            mono = Monomial(exps)
-            if leaf_level is None:
-                node.payload = mono
-            else:
-                leaf = TreeNode(f"{node.node_id}.0", leaf_level, mono, Monomial.one(n))
-                node.children.append(leaf)
-        for var, e, child_level, child_state in children:
-            exps[var - 1] = e
-            child = TreeNode(
-                f"{node.node_id}.{e}",
-                child_level,
-                payload(child_level, child_state),
-                Monomial.variable(n, var, e),
-            )
-            node.children.append(child)
-            grow(child, child_level, child_state)
+        levels.setdefault(level, []).append(node)
+        branch = step(level, state)
+        if branch is None and leaf_level is None:
+            node.payload = Monomial(exps)
+        elif branch is None:
+            leaf = TreeNode(f"{node.node_id}.0", leaf_level, Monomial(exps), Monomial.one(n))
+            node.children.append(leaf)
+            levels.setdefault(leaf_level, []).append(leaf)
+        else:
+            var, exponents, level, child = branch
+            for e in exponents:
+                exps[var - 1] = e
+                state = child(e)
+                edge = Monomial.variable(n, var, e)
+                below = TreeNode(f"{node.node_id}.{e}", level, payload(level, state), edge)
+                node.children.append(below)
+                grow(below, level, state)
 
     root = TreeNode("r", level, payload(level, state), None)
     grow(root, level, state)
-    return LabeledTree(kind, n, root, level_keys)
+    return LabeledTree(kind, n, root, levels)
 
 
 def _iter_leaves(n: int, level, state, step: Step) -> Iterator[tuple[object, Monomial]]:
     """Stream ``(leaf state, path monomial)`` left to right without building the tree."""
     exps = [0] * n
-    stack = step(level, state)[::-1]
-    if not stack:  # the root is the only leaf
-        yield state, Monomial(exps)
+    stack = [(None, 0, level, state)]  # the root has no edge
     while stack:
         var, e, level, state = stack.pop()
-        exps[var - 1] = e  # the variables below this edge are all set again
-        children = step(level, state)
-        if children:
-            stack += children[::-1]
-        else:
+        if var:
+            exps[var - 1] = e  # the variables below this edge are all set again
+        branch = step(level, state)
+        if branch is None:
             yield state, Monomial(exps)
+        else:
+            var, exponents, level, child = branch
+            stack += [(var, e, level, child(e)) for e in reversed(exponents)]
 
 
 def _descend(level, state, step: Step, monomial: Sequence[int], basis: str):
     """The leaf state of the one path whose edge labels multiply to ``monomial``.
 
-    Raises NotInBasis when no child's exponent equals the monomial's exponent
-    of the child's variable, or when an exponent is set by no edge at all.
+    Builds one state per level.  Raises NotInBasis when the monomial's
+    exponent of a level's variable is not among that level's edge exponents,
+    or when an exponent is set by no edge at all.
     """
     exps = [0] * len(monomial)
-    while children := step(level, state):
-        for var, e, child_level, child_state in children:
-            if e == monomial[var - 1]:
-                break
-        else:
-            raise NotInBasis(f"{monomial} is not in {basis}: no edge x{var}^{monomial[var - 1]}")
+    while (branch := step(level, state)) is not None:
+        var, exponents, level, child = branch
+        e = monomial[var - 1]
+        if e not in exponents:
+            raise NotInBasis(f"{monomial} is not in {basis}: no edge x{var}^{e}")
         exps[var - 1] = e
-        level, state = child_level, child_state
+        state = child(e)
     if exps != list(monomial):
         raise NotInBasis(f"{monomial} is not in {basis}")
     return state

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, JSON round trips, exit codes."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hesskit
 from hesskit import Filling, Monomial, Polynomial, regnilp
 from hesskit.cli import main
 
@@ -359,10 +361,14 @@ def test_readme_states_every_checked_output():
 
 
 def test_module_entry_point():
+    # the child process finds the package where this one imported it from
+    src_root = str(Path(hesskit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "hesskit.cli", "betti", "--h", "1,3,3", "--mu", "2,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "1,2,1"

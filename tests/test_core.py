@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hesskit import (
     ConstraintViolation,
+    DimensionPairSet,
     Filling,
     HessenbergFunction,
     Monomial,
@@ -28,6 +29,7 @@ from hesskit import (
     is_permissible,
     is_row_strict,
     make_hessenberg,
+    modified_complete_symmetric,
     nu_tuple,
     phi,
     subfilling,
@@ -109,6 +111,12 @@ class TestDegreeAndNuTuples:
         n = 6
         assert degree_tuple(springer_h(n)) == (1,) * n
         assert degree_tuple(make_hessenberg((n,) * n)) == tuple(range(1, n + 1))
+
+    def test_degree_tuple_matches_definition(self):
+        for n in range(1, 8):
+            for h in hessenberg_functions(n):
+                below = [sum(1 for k in range(1, n + 1) if h(k) < i) for i in range(1, n + 1)]
+                assert degree_tuple(h) == tuple(i - c for i, c in enumerate(below, start=1))
 
     def test_beta_one_is_always_one(self):
         for h in hessenberg_functions(5):
@@ -505,8 +513,21 @@ def test_phi_image_avoids_x1_randomized(values):
         lambda: as_shape([2.5, 0.6]),
         lambda: Polynomial.from_json([{"exps": [1, 0.5], "coef": 1}]),
         lambda: Polynomial.from_json([{"exps": [1, 0], "coef": 1.5}]),
+        lambda: Polynomial(2, {(1.5, 0): 1}),
+        lambda: DimensionPairSet([(1.5, 2.7)]),
+        lambda: modified_complete_symmetric(2, [1.5, 2], 3),
     ],
-    ids=["hessenberg", "filling", "monomial", "shape", "poly-exponent", "poly-coefficient"],
+    ids=[
+        "hessenberg",
+        "filling",
+        "monomial",
+        "shape",
+        "poly-exponent",
+        "poly-coefficient",
+        "poly-key",
+        "pair-entry",
+        "variable-index",
+    ],
 )
 def test_non_integers_are_refused_not_truncated(build):
     with pytest.raises(ValueError, match="is not an integer"):

@@ -274,6 +274,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="empty exponent"):
             Polynomial.parse("x2^*x3 + 1", 4)
 
+    def test_negative_exponents_are_refused(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(0, -2): 3})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial.from_json([{"exps": [-1, 0], "coef": 1}])
+
 
 def small_polys(n=3):
     mono = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)

@@ -1,0 +1,86 @@
+"""The step-function drivers: recorded levels and one-path descents."""
+
+from hesskit import (
+    b_h_basis,
+    build_gp_tree,
+    build_h_tableau_tree,
+    build_h_tree,
+    build_modified_gp_tree,
+    garsia_procesi_basis,
+    hessenberg_functions,
+    psi,
+    psi_h,
+    regnilp,
+    springer,
+)
+
+from oracles import partitions
+
+
+def trees():
+    for n in range(1, 7):
+        for mu in partitions(n):
+            yield build_gp_tree(mu)
+            yield build_modified_gp_tree(mu)
+    for n in range(1, 6):
+        for h in hessenberg_functions(n):
+            yield build_h_tree(h)
+            yield build_h_tableau_tree(h)
+
+
+def test_recorded_levels_agree_with_a_walk():
+    for tree in trees():
+        grouped: dict = {}
+        for node in tree.iter_nodes():  # preorder
+            grouped.setdefault(node.level, []).append(node)
+        assert tree.levels() == grouped
+        # a vertex id holds one "." per edge above it
+        depths = {key: {v.node_id.count(".") for v in nodes} for key, nodes in grouped.items()}
+        assert all(len(d) == 1 for d in depths.values())
+        assert tree.level_keys == sorted(grouped, key=lambda key: min(depths[key]))
+        assert list(tree.levels()) == tree.level_keys
+
+
+def counting(make_step, calls):
+    """Wrap a step-function factory so that every ``child`` call is counted."""
+
+    def make(*args):
+        step = make_step(*args)
+
+        def counted(level, state):
+            branch = step(level, state)
+            if branch is None:
+                return None
+            var, exponents, child_level, child = branch
+
+            def counted_child(e):
+                calls.append(e)
+                return child(e)
+
+            return var, exponents, child_level, counted_child
+
+        return counted
+
+    return make
+
+
+def test_psi_h_builds_one_state_per_level(monkeypatch):
+    calls: list = []
+    monkeypatch.setattr(regnilp, "_h_step", counting(regnilp._h_step, calls))
+    n = 6
+    for h in hessenberg_functions(n):
+        for m in b_h_basis(h):
+            calls.clear()
+            psi_h(h, m)
+            assert len(calls) == n - 1
+
+
+def test_psi_builds_one_state_per_level(monkeypatch):
+    calls: list = []
+    monkeypatch.setattr(springer, "_filling_step", counting(springer._filling_step, calls))
+    n = 6
+    for mu in partitions(n):
+        for m in garsia_procesi_basis(mu):
+            calls.clear()
+            psi(mu, m)
+            assert len(calls) == n
