@@ -3,8 +3,8 @@
 Just enough machinery to build the ideal attached to a Hessenberg function,
 verify that its generators form a Groebner basis, and read off the staircase
 of standard monomials: lex order with x_1 > x_2 > ... > x_n (the only order
-shipped), polynomial addition and multiplication, multivariate division,
-and the Buchberger S-pair criterion.
+shipped), polynomial arithmetic, multivariate division, and the Buchberger
+S-pair criterion; is_groebner skips the pairs its first criterion clears.
 
 Coefficients are arbitrary-precision ints and never leave Z: the S-polynomial
 cross-multiplies by leading coefficients instead of dividing, and division
@@ -15,7 +15,7 @@ coefficient (always true here, since every generator is monic).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .core import HessenbergFunction, HesskitError, Monomial, _parse_power, as_int, degree_tuple
 
@@ -332,10 +332,22 @@ def groebner_failures(basis: Sequence[Polynomial]) -> list[tuple[int, int, Polyn
 
 
 def is_groebner(basis: Sequence[Polynomial]) -> bool:
-    """Buchberger criterion: every S-polynomial of a pair reduces to zero."""
+    """Buchberger criterion: every S-polynomial of a pair reduces to zero.
+
+    If every leading coefficient is +-1, reduce is division over Q and a pair
+    with coprime leading monomials is skipped (Buchberger's first criterion,
+    Cox-Little-O'Shea, Ch. 2 Sec. 9, Prop. 4); groebner_failures reduces all.
+    """
     if not basis or any(g.is_zero for g in basis):
         raise ValueError("basis members must be nonzero")
-    return not groebner_failures(basis)
+    leads = [g.leading() for g in basis]
+    monic = all(abs(c) == 1 for _, c in leads)
+    for (i, (li, _)), (j, (lj, _)) in combinations(enumerate(leads), 2):
+        if monic and not any(a and b for a, b in zip(li, lj)):
+            continue
+        if not reduce(s_polynomial(basis[i], basis[j]), basis).is_zero:
+            return False
+    return True
 
 
 def standard_monomials(basis: Sequence[Polynomial]) -> set[Monomial]:
@@ -343,28 +355,31 @@ def standard_monomials(basis: Sequence[Polynomial]) -> set[Monomial]:
 
     Requires a pure power of every variable among the leading terms (a
     zero-dimensional leading-term ideal); otherwise the staircase is
-    infinite and InfiniteStaircase is raised.  The caller is responsible for
-    passing a Groebner basis when the result is to be read as a quotient
-    basis.
+    infinite and InfiniteStaircase is raised.  Only the other leading terms
+    (constants too) cut the box of pure-power bounds; jh_generators has none.
+    The caller is responsible for passing a Groebner basis when the result is
+    to be read as a quotient basis.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
     n = basis[0].n
-    lts = [g.leading()[0] for g in basis]
     bounds = [None] * n
-    for lt in lts:
+    cutters = []
+    for lt in (g.leading()[0] for g in basis):
         support = [i for i, e in enumerate(lt) if e > 0]
         if len(support) == 1:
             i = support[0]
             if bounds[i] is None or lt[i] < bounds[i]:
                 bounds[i] = lt[i]
+        else:
+            cutters.append(lt)
     if any(b is None for b in bounds):
         missing = [f"x{i + 1}" for i, b in enumerate(bounds) if b is None]
         raise InfiniteStaircase(
             f"no pure-power leading term for {', '.join(missing)}"
         )
-    out = set()
-    for exps in product(*(range(b) for b in bounds)):
-        if not any(all(a >= b for a, b in zip(exps, lt)) for lt in lts):
-            out.add(Monomial(exps))
-    return out
+    return {
+        Monomial(exps)
+        for exps in product(*(range(b) for b in bounds))
+        if not any(all(a >= b for a, b in zip(exps, lt)) for lt in cutters)
+    }

@@ -144,7 +144,7 @@ def psi_h(h: HessenbergFunction, monomial: Monomial) -> Filling:
     n = h.n
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    word = _descend(1, (1,), _h_step(h), monomial, f"the basis for h={h}")
+    word = _descend(1, (1,), _h_step(h), monomial, lambda: f"the basis for h={h}")
     return Filling.from_word((n,), word)
 
 

@@ -72,8 +72,7 @@ def _filling_step(mu: tuple[int, ...]):
         def child(j: int):
             row, col = order[j]
             p = starts[row - 1] + col - 1
-            filled = word[:p] + (level,) + word[p + 1 :]
-            return Filling.from_word(mu, filled) if level == 1 else filled
+            return word[:p] + (level,) + word[p + 1 :]
 
         return level, range(len(order)), level - 1, child
 
@@ -105,7 +104,7 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     _check_cap(n, max_n, "modified GP-tree construction")
 
     def payload(level: int, state):
-        return PartialFilling(mu, state) if level else state
+        return PartialFilling(mu, state) if level else Filling.from_word(mu, state)
 
     return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
 
@@ -158,4 +157,5 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     n = sum(mu)
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    return _descend(n, (0,) * n, _filling_step(mu), monomial, f"the basis of shape {mu}")
+    word = _descend(n, (0,) * n, _filling_step(mu), monomial, lambda: f"the basis of shape {mu}")
+    return Filling.from_word(mu, word)

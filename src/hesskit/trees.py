@@ -196,21 +196,22 @@ def _iter_leaves(n: int, level, state, step: Step) -> Iterator[tuple[object, Mon
             stack += [(var, e, level, child(e)) for e in reversed(exponents)]
 
 
-def _descend(level, state, step: Step, monomial: Sequence[int], basis: str):
+def _descend(level, state, step: Step, monomial: Sequence[int], basis: Callable[[], str]):
     """The leaf state of the one path whose edge labels multiply to ``monomial``.
 
     Builds one state per level.  Raises NotInBasis when the monomial's
     exponent of a level's variable is not among that level's edge exponents,
-    or when an exponent is set by no edge at all.
+    or when an exponent is set by no edge at all; ``basis()`` names the basis
+    in its message and is called only then.
     """
     exps = [0] * len(monomial)
     while (branch := step(level, state)) is not None:
         var, exponents, level, child = branch
         e = monomial[var - 1]
         if e not in exponents:
-            raise NotInBasis(f"{monomial} is not in {basis}: no edge x{var}^{e}")
+            raise NotInBasis(f"{monomial} is not in {basis()}: no edge x{var}^{e}")
         exps[var - 1] = e
         state = child(e)
     if exps != list(monomial):
-        raise NotInBasis(f"{monomial} is not in {basis}")
+        raise NotInBasis(f"{monomial} is not in {basis()}")
     return state

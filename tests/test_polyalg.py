@@ -23,6 +23,7 @@ from hesskit import (
     s_polynomial,
     standard_monomials,
 )
+from hesskit import polyalg
 from hesskit.polyalg import groebner_failures
 
 from conftest import springer_h
@@ -192,6 +193,59 @@ class TestSPolynomialAndGroebner:
         failures = groebner_failures(G)
         assert [(i, j, str(nf)) for i, j, nf in failures] == [(0, 1, "x2")]
 
+    def test_non_coprime_failure(self):
+        # the leading monomials x1*x2 and x1^2 share x1, so the pair is reduced
+        G = [P("x1*x2 - 1", 2), P("x1^2 - x2", 2)]
+        assert not is_groebner(G)
+        assert groebner_failures(G) == [(0, 1, P("-x1 + x2^2", 2))]
+
+    def test_non_monic_coprime_pair_is_reduced(self):
+        # coprime leading monomials, but 2 and 3 are not units over Z
+        assert is_groebner([P("2*x1 + x2", 2), P("3*x2 + 1", 2)])
+
+    @pytest.mark.parametrize(
+        "n, G",
+        [
+            (2, ["x1 + x2", "x1"]),
+            (2, ["x1*x2 - 1", "x1^2 - x2"]),
+            (2, ["2*x1 + x2", "3*x2 + 1"]),
+            # the monic pair (2, 3) has coprime leading monomials, but its
+            # S-polynomial leaves 5*x3, which neither 2*x3 nor 3*x3 divides
+            # over Z
+            (3, ["2*x3", "3*x3", "x1 + x2 + 5*x3", "x2 + 2*x3 + 1"]),
+        ],
+    )
+    def test_agrees_with_failures_on_examples(self, n, G):
+        G = [P(g, n) for g in G]
+        assert is_groebner(G) == (not groebner_failures(G))
+
+    def test_agrees_with_failures_on_every_ideal(self):
+        for n in range(1, 7):
+            for h in hessenberg_functions(n):
+                G = jh_generators(h)
+                assert is_groebner(G) == (not groebner_failures(G)), str(h)
+
+    def test_product_criterion_skips_reduction(self, monkeypatch):
+        calls = []
+        real_reduce = polyalg.reduce
+
+        def counting_reduce(p, basis):
+            calls.append(p)
+            return real_reduce(p, basis)
+
+        monkeypatch.setattr(polyalg, "reduce", counting_reduce)
+        for n in range(1, 6):
+            for h in hessenberg_functions(n):
+                assert is_groebner(jh_generators(h))
+        assert calls == []
+        assert not is_groebner([P("x1*x2 - 1", 2), P("x1^2 - x2", 2)])
+        assert len(calls) == 1
+        assert is_groebner([P("2*x1 + x2", 2), P("3*x2 + 1", 2)])
+        assert len(calls) == 2
+        calls.clear()
+        assert groebner_failures(jh_generators(make_hessenberg((3, 3, 4, 5, 5)))) == []
+        assert len(calls) == comb(5, 2)
+
     def test_singleton_is_groebner(self):
         assert is_groebner([P("x1", 1)])
 
@@ -234,6 +288,13 @@ class TestStandardMonomials:
         h = make_hessenberg((n,) * n)
         sm = standard_monomials(jh_generators(h))
         assert len(sm) == prod(degree_tuple(h))
+
+    def test_mixed_leading_term_cuts_the_box(self):
+        G = [P("x1^2", 2), P("x2^2", 2), P("x1*x2", 2)]
+        assert standard_monomials(G) == {Monomial.parse(t, 2) for t in ["1", "x1", "x2"]}
+
+    def test_constant_leading_term_empties_the_box(self):
+        assert standard_monomials([P("1", 2), P("x1", 2), P("x2", 2)]) == set()
 
     def test_infinite_staircase_detected(self):
         with pytest.raises(InfiniteStaircase):
@@ -310,6 +371,27 @@ def test_leading_term_is_multiplicative(p, q):
 @given(small_polys())
 def test_text_round_trip_randomized(p):
     assert Polynomial.parse(str(p), 3) == p
+
+
+def small_bases(n):
+    """Two to four polynomials, each a leading term with a +-1, 2 or -3
+    coefficient over smaller terms; sparse exponents make coprime leading
+    monomials common."""
+    mono = st.tuples(*[st.sampled_from([0, 0, 1, 2])] * n)
+    lead = st.tuples(mono, st.sampled_from([1, -1, 2, -3]))
+    tail = st.lists(st.tuples(mono, st.integers(min_value=-3, max_value=3)), max_size=2)
+
+    def poly(parts):
+        (exps, coef), rest = parts
+        return Polynomial(n, {**{e: c for e, c in rest if e < exps}, exps: coef})
+
+    return st.lists(st.tuples(lead, tail).map(poly), min_size=2, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=3).flatmap(small_bases))
+def test_is_groebner_agrees_with_failures_randomized(G):
+    assert is_groebner(G) == (not groebner_failures(G))
 
 
 @settings(max_examples=40, deadline=None)

@@ -204,6 +204,19 @@ class TestBasisAndInverse:
         with pytest.raises(NotInBasis):
             psi_h(make_hessenberg((2, 3, 3)), Monomial((0, -1, 0)))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x4", "x4 is not in the basis for h=3,3,3,4: no edge x4^1"),
+            ("x3^3", "x3^3 is not in the basis for h=3,3,3,4: no edge x3^3"),
+            ("x1", "x1 is not in the basis for h=3,3,3,4"),
+        ],
+    )
+    def test_psi_h_not_in_basis_message(self, h334, text, message):
+        with pytest.raises(NotInBasis) as exc:
+            psi_h(h334, Monomial.parse(text, 4))
+        assert str(exc.value) == message
+
     def test_round_trips(self):
         for n in range(1, 6):
             for h in hessenberg_functions(n):

@@ -254,6 +254,21 @@ class TestPsi:
         with pytest.raises(NotInBasis):
             psi((2, 1), Monomial((0, -1, 0)))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x1", "x1 is not in the basis of shape (2, 2): no edge x1^1"),
+            ("x4^2", "x4^2 is not in the basis of shape (2, 2): no edge x4^2"),
+        ],
+    )
+    def test_not_in_basis_message(self, text, message):
+        with pytest.raises(NotInBasis) as exc:
+            psi((2, 2), Monomial.parse(text, 4))
+        assert str(exc.value) == message
+
+    def test_empty_shape_gives_empty_filling(self):
+        assert psi((), Monomial(())) == Filling.from_word((), ())
+
     def test_result_is_row_strict(self):
         from hesskit import is_row_strict
 
