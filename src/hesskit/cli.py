@@ -68,9 +68,8 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, sort_keys=True))
 
 
-def _phi_record(h: HessenbergFunction, filling: Filling) -> dict:
+def _phi_record(h: HessenbergFunction, pairs: core.DimensionPairSet) -> dict:
     """Dimension pairs of a filling and their monomial, computed once for any format."""
-    pairs = core.dimension_pairs(h, filling)
     return {"pairs": pairs, "monomial": Monomial(pairs.larger_counts(h.n))}
 
 
@@ -85,7 +84,10 @@ def _pair_text(pairs) -> str:
 def cmd_fillings(args) -> int:
     h = HessenbergFunction(args.h)
     fillings = core.enumerate_fillings(h, args.mu, max_n=args.max_n)
-    records = ({"filling": f, **_phi_record(h, f)} for f in fillings)
+    read = core._column_reader(args.mu)  # the fillings are permissible: no re-check
+    records = (
+        {"filling": f, **_phi_record(h, core._pair_set(h, read, f.word))} for f in fillings
+    )
     if args.format == "json":
         _emit_json([_json_record(r) for r in records])
     else:
@@ -168,7 +170,7 @@ def cmd_basis(args) -> int:
 def cmd_phi(args) -> int:
     h = HessenbergFunction(args.h)
     filling = Filling.from_word(args.mu, _parse_word(args.filling, args.mu))
-    record = _phi_record(h, filling)
+    record = _phi_record(h, core.dimension_pairs(h, filling))
     if args.format == "json":
         _emit_json(_json_record(record))
     else:

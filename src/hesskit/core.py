@@ -517,20 +517,23 @@ def is_permissible(h: HessenbergFunction, filling: Filling) -> bool:
     return True
 
 
-def _pairs(reading: Sequence[int], caps: Sequence[int]) -> list[tuple[int, int]]:
+def _partner_masks(reading: Sequence[int], caps: Sequence[int]) -> list[int]:
     """The dimension-pair kernel, on boxes in column reading order.
 
     ``reading`` lists the values column by column, left to right, each
     column bottom to top; ``caps[q]`` is h of the right neighbour of
     ``reading[q]``, or n when it has none.  In this order b pairs with a
-    exactly when b is read before a and a < b <= cap(a).
+    exactly when b is read before a and a < b <= cap(a).  With bit b of
+    ``seen`` set for each value read so far, the partners of a are bits
+    a+1 .. cap of ``seen``.  The mask returned for box q holds them shifted
+    down to bit 0: bit j stands for b = reading[q] + 1 + j.
     """
-    return [
-        (a, b)
-        for q, (a, cap) in enumerate(zip(reading, caps))
-        for b in reading[:q]
-        if a < b <= cap
-    ]
+    seen = 0
+    masks = []
+    for a, cap in zip(reading, caps):
+        masks.append((seen & ((2 << cap) - 1)) >> (a + 1))
+        seen |= 1 << a
+    return masks
 
 
 def _column_reader(shape: Sequence[int]) -> Callable:
@@ -603,19 +606,31 @@ class DimensionPairSet:
         return [list(p) for p in self.sorted()]
 
 
+def _pair_set(h: HessenbergFunction, read: Callable, word: Sequence[int]) -> DimensionPairSet:
+    """The dimension pairs of a word through a :func:`_column_reader`, unchecked."""
+    reading, caps = read(h, word)
+    pairs = []
+    for a, mask in zip(reading, _partner_masks(reading, caps)):
+        while mask:
+            low = mask & -mask  # bit j: b = a + 1 + j = a + low.bit_length()
+            pairs.append((a, a + low.bit_length()))
+            mask ^= low
+    return DimensionPairSet(pairs)
+
+
 def dimension_pairs(h: HessenbergFunction, filling: Filling) -> DimensionPairSet:
     """All pairs (a, b) with b > a, b below-in-column or strictly left of a,
     and b <= h(c) whenever a has a right neighbor c."""
     if not is_permissible(h, filling):
         raise NotPermissible(f"{filling} is not permissible for h={h}")
-    return DimensionPairSet(_pairs(*_column_reader(filling.shape)(h, filling.word)))
+    return _pair_set(h, _column_reader(filling.shape), filling.word)
 
 
 def dimension_pairs_partial(
     h: HessenbergFunction, partial: PartialFilling
 ) -> DimensionPairSet:
     """Dimension pairs of a partial filling; columns are read literally by index."""
-    return DimensionPairSet(_pairs(*_column_reader(partial.shape)(h, partial.word)))
+    return _pair_set(h, _column_reader(partial.shape), partial.word)
 
 
 def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
@@ -630,11 +645,16 @@ def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
 
 def phi_word(h_values: Sequence[int], word: Sequence[int]) -> tuple[int, ...]:
     """:func:`phi` of a one-row word, which is its own column reading, as an
-    exponent tuple.  Assumes the word is permissible for h; nothing is checked."""
+    exponent tuple: each partner b in a box's mask from the bitmask kernel
+    :func:`_partner_masks` adds 1 to the exponent of x_b.  Assumes the word
+    is permissible for h; nothing is checked."""
     n = len(word)
     exps = [0] * n
-    for _, b in _pairs(word, [h_values[v - 1] for v in word[1:]] + [n]):
-        exps[b - 1] += 1
+    for a, mask in zip(word, _partner_masks(word, [h_values[v - 1] for v in word[1:]] + [n])):
+        while mask:
+            low = mask & -mask
+            exps[a + low.bit_length() - 1] += 1
+            mask ^= low
     return tuple(exps)
 
 
@@ -642,45 +662,87 @@ def phi_word(h_values: Sequence[int], word: Sequence[int]) -> tuple[int, ...]:
 # Enumeration and Betti numbers
 
 
-def enumerate_fillings(
-    h: HessenbergFunction, shape: Sequence[int], max_n: int | None = None
-) -> list[Filling]:
-    """All permissible fillings of the shape, in lexicographic word order.
-
-    Words grow one box at a time in row-reading order.  Right of k only the
-    values v with k <= h(v) are tried, so a prefix is dropped as soon as it
-    breaks the adjacency rule.
-    """
+def _fillable(h: HessenbergFunction, shape: Sequence[int], max_n: int | None) -> tuple[int, ...]:
+    """The shape, once it has h.n boxes and h.n is within the size cap."""
     shape = as_shape(shape)
     n = sum(shape)
     if n != h.n:
         raise ValueError(f"shape {shape} has {n} boxes but h has n={h.n}")
     _check_cap(n, max_n, "filling enumeration")
+    return shape
 
+
+def _words(h: HessenbergFunction, shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The permissible row-reading words of a shape with h.n boxes, in
+    lexicographic order, as bare tuples; see :func:`enumerate_fillings`."""
+    n = h.n
+    hv = h.values
     values = range(1, n + 1)
     # allowed[k]: the values that may sit right of k; index 0 serves a row start
-    allowed = [values] + [[v for v in values if k <= h(v)] for k in values]
-    row_starts = set(accumulate(shape, initial=0))
+    allowed = [values] + [[v for v in values if k <= hv[v - 1]] for k in values]
+    joined = [c > 0 for length in shape for c in range(length)]
+    rest = [length - 1 - c for length in shape for c in range(length)]
+    # above[r][v]: the values >= m^r(v) as a mask, bit u for the value u;
+    # m(k) = min{u : h(u) >= k} is the bisection of the sorted h values
+    full = (2 << n) - 2
+    floor = list(range(n + 1))
+    above = []
+    for _ in range(max(rest, default=0) + 1):
+        above.append([full >> u << u for u in floor])
+        floor = [bisect_left(hv, u) + 1 for u in floor]
+    last = n - 1
     out = []
 
-    def extend(word: tuple[int, ...]) -> None:
+    def extend(word: tuple[int, ...], free: int) -> None:
         p = len(word)
-        if p == n:
-            out.append(Filling.from_word(shape, word))
+        if p == last:
+            v = free.bit_length() - 1
+            if not joined[p] or word[-1] <= hv[v - 1]:
+                out.append(word + (v,))
             return
-        for v in allowed[0 if p in row_starts else word[-1]]:
-            if v not in word:
-                extend(word + (v,))
+        r = rest[p]
+        reach = above[r]
+        for v in allowed[word[-1] if joined[p] else 0]:
+            # free still holds v, and v >= m^r(v): r others means r + 1 in all
+            if free >> v & 1 and (free & reach[v]).bit_count() > r:
+                extend(word + (v,), free ^ (1 << v))
 
-    extend(())
+    extend((), full)
+    del extend  # the closure refers to itself: free the cycle, and out with it
     return out
+
+
+def enumerate_fillings(
+    h: HessenbergFunction, shape: Sequence[int], max_n: int | None = None
+) -> list[Filling]:
+    """All permissible fillings of the shape, in lexicographic word order.
+
+    One depth-first walk grows bare word tuples box by box in row-reading
+    order, with the free values as a bitmask.  Right of k only the values v
+    with k <= h(v) are tried, and v is dropped when its row cannot be
+    finished: with r boxes of the row left after v, at least r other free
+    values must be >= m^r(v), where m(k) = min{u : h(u) >= k}.  That is
+    necessary: a right neighbour of k is >= m(k), m is nondecreasing and
+    m(k) <= k, so the j-th value after v is >= m^j(v) >= m^r(v).  For the
+    minimal h the rule reads "r free values above v", and one row takes n
+    steps, not about 2^n.  Each word becomes a validated :class:`Filling`.
+    """
+    shape = _fillable(h, shape, max_n)
+    return [Filling.from_word(shape, word) for word in _words(h, shape)]
 
 
 def betti_numbers(
     h: HessenbergFunction, shape: Sequence[int], max_n: int | None = None
 ) -> tuple[int, ...]:
-    """Even Betti numbers b_0, b_2, ...: fillings counted by dimension-pair count."""
-    fillings = enumerate_fillings(h, shape, max_n=max_n)
+    """Even Betti numbers b_0, b_2, ...: fillings counted by dimension-pair count.
+
+    Each word of the walk behind :func:`enumerate_fillings` goes through the
+    shape's column reader, and its pair count is the ``bit_count`` of its
+    partner masks: no pair tuple and no :class:`Filling` is built."""
+    shape = _fillable(h, shape, max_n)
     read = _column_reader(shape)
-    counts = Counter(len(_pairs(*read(h, f.word))) for f in fillings)
+    counts = Counter(
+        sum(map(int.bit_count, _partner_masks(*read(h, word))))
+        for word in _words(h, shape)
+    )
     return tuple(counts[k] for k in range(max(counts, default=0) + 1))

@@ -26,8 +26,8 @@ from .core import (
     HesskitError,
     Monomial,
     _check_cap,
+    _words,
     degree_tuple,
-    enumerate_fillings,
     nu_tuple,
     phi_word,
 )
@@ -169,20 +169,23 @@ class VerifyReport:
 def verify_counts(h: HessenbergFunction, max_n: int | None = None) -> VerifyReport:
     """Check the one-row counting identities for h.
 
-    ``fillings`` counts the permissible words that :func:`enumerate_fillings`
-    finds, ``leaves`` the tree paths, and ``a_equals_b`` compares the
-    monomial image of those fillings with the staircase basis, as sets.
+    ``fillings`` counts the permissible words of the pruned walk behind
+    :func:`enumerate_fillings`, taken as bare tuples, and ``leaves`` the
+    paths of the independent insertion tree.  ``a_equals_b`` compares the
+    exponent tuples :func:`phi_word` gives those words with the staircase
+    ``product(range(beta_i))``, as sets.
     """
     n = h.n
     _check_cap(n, max_n, "count verification")
-    fillings = enumerate_fillings(h, (n,), max_n=max_n)
-    image = {Monomial(phi_word(h.values, f.word)) for f in fillings}
+    beta = degree_tuple(h)
+    words = _words(h, (n,))
+    image = {phi_word(h.values, word) for word in words}
     leaves = sum(1 for _ in iter_words(h))
     return VerifyReport(
         h=h,
-        fillings=len(fillings),
+        fillings=len(words),
         leaves=leaves,
         prod_nu=prod(nu_tuple(h)),
-        prod_beta=prod(degree_tuple(h)),
-        a_equals_b=image == b_h_basis(h),
+        prod_beta=prod(beta),
+        a_equals_b=image == set(product(*(range(b) for b in beta))),
     )

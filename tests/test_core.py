@@ -1,5 +1,6 @@
 """Core vocabulary: validation, dimension pairs, the filling -> monomial map."""
 
+from collections import Counter
 from itertools import permutations
 from math import factorial, prod
 
@@ -287,6 +288,24 @@ class TestEnumerationAndBetti:
                 for shape in compositions(n, allow_zero_rows=True):
                     words = [f.word for f in enumerate_fillings(h, shape)]
                     assert words == brute_permissible_words(h.values, shape)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_minimal_h_one_row_is_the_increasing_word(self, n):
+        """Right of v only values above v fit, so every prefix that skips a
+        value is cut: the walk goes straight down the one word."""
+        fillings = enumerate_fillings(springer_h(n), (n,), max_n=n)
+        assert [f.word for f in fillings] == [tuple(range(1, n + 1))]
+
+    def test_betti_matches_brute_oracle(self):
+        for n in range(1, 6):
+            for h in hessenberg_functions(n):
+                for shape in compositions(n, allow_zero_rows=True):
+                    counts = Counter(
+                        len(brute_pairs(h.values, shape, word))
+                        for word in brute_permissible_words(h.values, shape)
+                    )
+                    expected = tuple(counts[k] for k in range(max(counts, default=0) + 1))
+                    assert betti_numbers(h, shape) == expected
 
     def test_betti_vectors(self, h334):
         assert betti_numbers(make_hessenberg((1, 3, 3)), (2, 1)) == (1, 2, 1)

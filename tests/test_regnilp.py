@@ -20,6 +20,7 @@ from hesskit import (
     psi_h,
     verify_counts,
 )
+from hesskit import regnilp
 from hesskit.core import phi_word
 from hesskit.regnilp import iter_words, level_n_fillings
 
@@ -243,6 +244,28 @@ class TestVerifyCounts:
         report = verify_counts(springer_h(5))
         assert report.fillings == report.leaves == report.prod_nu == report.prod_beta == 1
         assert report.ok()
+
+    def test_a_wrong_exponent_is_caught(self, h334, monkeypatch):
+        """One exponent off by one leaves every count right; only the set
+        comparison with the staircase sees it."""
+        real = regnilp.phi_word
+
+        def off_by_one(h_values, word):
+            exps = real(h_values, word)
+            return (exps[0] + 1, *exps[1:]) if word == (1, 2, 3, 4) else exps
+
+        monkeypatch.setattr(regnilp, "phi_word", off_by_one)
+        report = verify_counts(h334)
+        assert report.fillings == report.leaves == report.prod_beta == 6
+        assert not report.a_equals_b
+        assert not report.ok()
+
+    def test_a_missing_word_is_caught(self, h334, monkeypatch):
+        real = regnilp._words
+        monkeypatch.setattr(regnilp, "_words", lambda h, shape: real(h, shape)[1:])
+        report = verify_counts(h334)
+        assert report.fillings != report.prod_beta
+        assert not report.ok()
 
     def test_all_n5_functions(self):
         reports = [verify_counts(h) for h in hessenberg_functions(5)]

@@ -2,7 +2,7 @@
 
 import json
 import re
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -201,6 +201,11 @@ class TestRowStrictEnumeration:
         assert len(enumerate_row_strict((2, 2))) == 6
         assert len(enumerate_row_strict((5,))) == 1
         assert len(enumerate_row_strict((2, 2, 2))) == 90
+
+    def test_counts_are_multinomials(self):
+        for n in range(1, 9):
+            for mu in partitions(n):
+                assert len(enumerate_row_strict(mu)) == factorial(n) // prod(map(factorial, mu))
 
     def test_matches_permissible_fillings(self):
         for n in range(1, 7):
