@@ -48,7 +48,10 @@ def _parse_word(text: str, mu: tuple[int, ...]) -> tuple[int, ...]:
         entries = part.split(",") if "," in text and part else list(part)
         if "" in entries:
             raise ValueError(f"empty entry in word {text!r}")
-        rows.append([int(entry) for entry in entries])
+        try:
+            rows.append([int(entry) for entry in entries])
+        except ValueError:
+            raise ValueError(f"non-integer entry in filling {text!r}") from None
     lengths, mu_text = ",".join(str(len(row)) for row in rows), ",".join(map(str, mu))
     if "/" in text and lengths != mu_text:
         raise ValueError(f"filling {text!r} has rows of lengths {lengths}, but --mu is {mu_text}")
@@ -84,10 +87,7 @@ def _pair_text(pairs) -> str:
 def cmd_fillings(args) -> int:
     h = HessenbergFunction(args.h)
     fillings = core.enumerate_fillings(h, args.mu, max_n=args.max_n)
-    read = core._column_reader(args.mu)  # the fillings are permissible: no re-check
-    records = (
-        {"filling": f, **_phi_record(h, core._pair_set(h, read, f.word))} for f in fillings
-    )
+    records = ({"filling": f, **_phi_record(h, core.dimension_pairs(h, f))} for f in fillings)
     if args.format == "json":
         _emit_json([_json_record(r) for r in records])
     else:

@@ -19,7 +19,8 @@ import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 from itertools import accumulate
 
 DEFAULT_MAX_N = 9
@@ -300,14 +301,14 @@ class Monomial(tuple):
 def _parse_power(factor: str, n: int) -> tuple[int, int]:
     """Read one factor ``x<i>`` or ``x<i>^<e>`` of the text syntax as (i, e)."""
     base, caret, power = factor.partition("^")
-    if not base.startswith("x"):
-        raise ValueError(f"bad monomial factor {factor!r}")
-    i = int(base[1:])
-    if not 1 <= i <= n:
-        raise ValueError(f"variable x{i} out of range for n={n}")
     if caret and not power:
         raise ValueError(f"empty exponent in {factor!r}")
-    e = int(power) if caret else 1
+    digits = power.removeprefix("-") if caret else "1"  # "-" is refused below, by name
+    if not (base[:1] == "x" and base[1:].isdecimal() and digits.isdecimal()):
+        raise ValueError(f"bad monomial factor {factor!r}")
+    i, e = int(base[1:]), int(power) if caret else 1
+    if not 1 <= i <= n:
+        raise ValueError(f"variable x{i} out of range for n={n}")
     if e < 0:
         raise ValueError(f"negative exponent in {factor!r}")
     return i, e
@@ -474,20 +475,13 @@ def subfilling(filling: Filling, i: int) -> PartialFilling:
 
 def is_row_strict(filling: Filling) -> bool:
     """Entries strictly increase left to right within every row."""
-    return all(
-        row[k] < row[k + 1] for row in filling.rows for k in range(len(row) - 1)
-    )
+    return all(k < j for row in filling.rows for k, j in zip(row, row[1:]))
 
 
 def has_subfilling_property(filling: Filling) -> bool:
-    """Each value i sits in the rightmost box of its row within T^(i)."""
-    boxes = filling.boxes()
-    for i in range(1, filling.n + 1):
-        r, c = filling.position(i)
-        rightmost = max(col for (row, col) in boxes if row == r and boxes[(row, col)] <= i)
-        if c != rightmost:
-            return False
-    return True
+    """Each value i sits in the rightmost box of its row within T^(i): every
+    value right of i in its row is above i, so T^(i) drops those boxes."""
+    return all(v > i for row in filling.rows for p, i in enumerate(row) for v in row[p + 1 :])
 
 
 def dimension_ordering(shape: Sequence[int]) -> list[tuple[int, int]]:
@@ -506,56 +500,81 @@ def dimension_ordering(shape: Sequence[int]) -> list[tuple[int, int]]:
 # Permissibility, dimension pairs, and the filling -> monomial map
 
 
-def is_permissible(h: HessenbergFunction, filling: Filling) -> bool:
-    """Check every horizontal adjacency: k immediately left of j needs k <= h(j)."""
-    if filling.n != h.n:
-        raise ValueError(f"filling has {filling.n} boxes but h has n={h.n}")
-    for row in filling.rows:
-        for k, j in zip(row, row[1:]):
-            if k > h(j):
-                return False
-    return True
+_Box = tuple[int, int, int]  # (value, cap, partner mask) of a box, from _boxes
 
 
-def _partner_masks(reading: Sequence[int], caps: Sequence[int]) -> list[int]:
-    """The dimension-pair kernel, on boxes in column reading order.
-
-    ``reading`` lists the values column by column, left to right, each
-    column bottom to top; ``caps[q]`` is h of the right neighbour of
-    ``reading[q]``, or n when it has none.  In this order b pairs with a
-    exactly when b is read before a and a < b <= cap(a).  With bit b of
-    ``seen`` set for each value read so far, the partners of a are bits
-    a+1 .. cap of ``seen``.  The mask returned for box q holds them shifted
-    down to bit 0: bit j stands for b = reading[q] + 1 + j.
-    """
-    seen = 0
-    masks = []
-    for a, cap in zip(reading, caps):
-        masks.append((seen & ((2 << cap) - 1)) >> (a + 1))
-        seen |= 1 << a
-    return masks
-
-
-def _column_reader(shape: Sequence[int]) -> Callable:
-    """``read(h, word)``: the filled boxes of a row-reading word of the shape
-    (0 marks an empty box) in column reading order, and their caps.
-
-    A box's right neighbour is the next word position in its row; an empty
-    neighbour, or none (position -1 of the padded word), gives cap n.
-    """
+@cache
+def _column_order(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Word positions of a shape's boxes in column reading order (columns
+    left to right, each bottom to top), each with its right neighbour's
+    position, or 0 for none: no box has position 0 on its right.  Cached."""
     starts = list(accumulate(shape, initial=0))
-    order = [
-        (s + c, s + c + 1 if c + 1 < length else -1)
+    return tuple(
+        (s + c, s + c + 1 if c + 1 < length else 0)
         for c in range(max(shape, default=0))
         for s, length in reversed(list(zip(starts, shape)))
         if c < length
-    ]
+    )
 
-    def read(h: HessenbergFunction, word: Sequence[int]) -> tuple[list[int], list[int]]:
-        word, cap = (*word, 0), (h.n, *h.values)  # cap[v] = h(v), cap[0] = n
-        return [word[p] for p, _ in order if word[p]], [cap[word[q]] for p, q in order if word[p]]
 
-    return read
+def _boxes(h_values: Sequence[int], shape: tuple[int, ...], word: Sequence[int]) -> list[_Box]:
+    """The one kernel pass: each filled box of a row-reading word (0 marks
+    an empty box) in column reading order, as ``(a, cap, mask)``.
+
+    a is its value and cap is h of its right neighbour, or n when that is
+    empty or missing: a filling is permissible exactly when a <= cap for
+    every box.  In this order b pairs with a exactly when b is read before
+    a and a < b <= cap, so with bit b of ``seen`` set for each value read,
+    mask holds bits a+1 .. cap of ``seen`` shifted down: bit j is b = a+1+j."""
+    n, seen, boxes = len(h_values), 0, []
+    for p, q in _column_order(shape):
+        if a := word[p]:
+            cap = h_values[word[q] - 1] if q and word[q] else n
+            boxes.append((a, cap, (seen & ((2 << cap) - 1)) >> (a + 1)))
+            seen |= 1 << a
+    return boxes
+
+
+def _permissible_boxes(h: HessenbergFunction, filling: Filling) -> list[_Box] | None:
+    """The :func:`_boxes` of a filling of h, or None when a value exceeds its cap."""
+    if filling.n != h.n:
+        raise ValueError(f"filling has {filling.n} boxes but h has n={h.n}")
+    boxes = _boxes(h.values, filling.shape, filling.word)
+    return None if any(a > cap for a, cap, _ in boxes) else boxes
+
+
+def _checked_boxes(h: HessenbergFunction, filling: Filling) -> list[_Box]:
+    """The :func:`_boxes` of a filling that must be permissible for h."""
+    if (boxes := _permissible_boxes(h, filling)) is None:
+        raise NotPermissible(f"{filling} is not permissible for h={h}")
+    return boxes
+
+
+def is_permissible(h: HessenbergFunction, filling: Filling) -> bool:
+    """Check every horizontal adjacency: k immediately left of j needs k <= h(j)."""
+    return _permissible_boxes(h, filling) is not None
+
+
+def _pairs(boxes: list[_Box]) -> DimensionPairSet:
+    """The partner masks of :func:`_boxes` expanded into pairs (a, b)."""
+    pairs = []
+    for a, _, mask in boxes:
+        while mask:
+            low = mask & -mask  # bit j: b = a + 1 + j = a + low.bit_length()
+            pairs.append((a, a + low.bit_length()))
+            mask ^= low
+    return DimensionPairSet(pairs)
+
+
+def _exponents(n: int, boxes: list[_Box]) -> tuple[int, ...]:
+    """The exponents of phi, straight from the masks: each partner b adds 1 to x_b."""
+    exps = [0] * n
+    for a, _, mask in boxes:
+        while mask:
+            low = mask & -mask
+            exps[a + low.bit_length() - 1] += 1
+            mask ^= low
+    return tuple(exps)
 
 
 class DimensionPairSet:
@@ -606,56 +625,31 @@ class DimensionPairSet:
         return [list(p) for p in self.sorted()]
 
 
-def _pair_set(h: HessenbergFunction, read: Callable, word: Sequence[int]) -> DimensionPairSet:
-    """The dimension pairs of a word through a :func:`_column_reader`, unchecked."""
-    reading, caps = read(h, word)
-    pairs = []
-    for a, mask in zip(reading, _partner_masks(reading, caps)):
-        while mask:
-            low = mask & -mask  # bit j: b = a + 1 + j = a + low.bit_length()
-            pairs.append((a, a + low.bit_length()))
-            mask ^= low
-    return DimensionPairSet(pairs)
-
-
 def dimension_pairs(h: HessenbergFunction, filling: Filling) -> DimensionPairSet:
     """All pairs (a, b) with b > a, b below-in-column or strictly left of a,
     and b <= h(c) whenever a has a right neighbor c."""
-    if not is_permissible(h, filling):
-        raise NotPermissible(f"{filling} is not permissible for h={h}")
-    return _pair_set(h, _column_reader(filling.shape), filling.word)
+    return _pairs(_checked_boxes(h, filling))
 
 
-def dimension_pairs_partial(
-    h: HessenbergFunction, partial: PartialFilling
-) -> DimensionPairSet:
+def dimension_pairs_partial(h: HessenbergFunction, partial: PartialFilling) -> DimensionPairSet:
     """Dimension pairs of a partial filling; columns are read literally by index."""
-    return _pair_set(h, _column_reader(partial.shape), partial.word)
+    return _pairs(_boxes(h.values, partial.shape, partial.word))
 
 
 def phi(h: HessenbergFunction, filling: Filling) -> Monomial:
     """Map a permissible filling to the monomial prod x_b over its pairs (a, b).
 
     The exponent of x_b is |D_b|; the degree equals the number of dimension
-    pairs, and x_1 never appears.
-    """
-    pairs = dimension_pairs(h, filling)
-    return Monomial(pairs.larger_counts(h.n))
+    pairs, and x_1 never appears.  One kernel pass checks permissibility
+    and gives the partner masks, expanded straight into exponents."""
+    return Monomial(_exponents(h.n, _checked_boxes(h, filling)))
 
 
 def phi_word(h_values: Sequence[int], word: Sequence[int]) -> tuple[int, ...]:
-    """:func:`phi` of a one-row word, which is its own column reading, as an
-    exponent tuple: each partner b in a box's mask from the bitmask kernel
-    :func:`_partner_masks` adds 1 to the exponent of x_b.  Assumes the word
-    is permissible for h; nothing is checked."""
-    n = len(word)
-    exps = [0] * n
-    for a, mask in zip(word, _partner_masks(word, [h_values[v - 1] for v in word[1:]] + [n])):
-        while mask:
-            low = mask & -mask
-            exps[a + low.bit_length() - 1] += 1
-            mask ^= low
-    return tuple(exps)
+    """:func:`phi` of a one-row word as an exponent tuple: the kernel pass on
+    shape ``(n,)``, whose column reading is the word itself.  Assumes the
+    word is permissible for h; nothing is checked."""
+    return _exponents(len(word), _boxes(h_values, (len(word),), word))
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +731,11 @@ def betti_numbers(
     """Even Betti numbers b_0, b_2, ...: fillings counted by dimension-pair count.
 
     Each word of the walk behind :func:`enumerate_fillings` goes through the
-    shape's column reader, and its pair count is the ``bit_count`` of its
-    partner masks: no pair tuple and no :class:`Filling` is built."""
+    kernel pass :func:`_boxes`, and its pair count is the ``bit_count`` of
+    its partner masks: no pair tuple and no :class:`Filling` is built."""
     shape = _fillable(h, shape, max_n)
-    read = _column_reader(shape)
     counts = Counter(
-        sum(map(int.bit_count, _partner_masks(*read(h, word))))
+        sum(mask.bit_count() for _, _, mask in _boxes(h.values, shape, word))
         for word in _words(h, shape)
     )
     return tuple(counts[k] for k in range(max(counts, default=0) + 1))

@@ -306,10 +306,22 @@ class TestExitCodes:
              "filling '12/3' has rows of lengths 2,1, but --mu is 3"),
             (["psi", "--mu", "2,1", "--monomial", "x2", "--max-n", "5"],
              "unrecognized arguments: --max-n 5"),
+            (["psi", "--mu", "2,1", "--monomial", "x"], "bad monomial factor 'x'"),
+            (["psih", "--h", "2,3,3", "--monomial", "x2*xa"], "bad monomial factor 'xa'"),
+            (["psi", "--mu", "2,1", "--monomial", "x1^a"], "bad monomial factor 'x1^a'"),
+            (["psih", "--h", "2,3,3", "--monomial", "x1^2^3"],
+             "bad monomial factor 'x1^2^3'"),
+            (["psi", "--mu", "2,1", "--monomial", "x+3"], "bad monomial factor 'x+3'"),
+            (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "1,2,x"],
+             "non-integer entry in filling '1,2,x'"),
+            (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "12a"],
+             "non-integer entry in filling '12a'"),
         ],
         ids=["max-n", "all-n", "filling", "psi", "psih", "psi-empty-power",
              "psih-empty-power", "mu-empty-entry", "h-empty-entry", "filling-rows-vs-mu",
-             "filling-rows-vs-one-row", "psi-max-n"],
+             "filling-rows-vs-one-row", "psi-max-n", "psi-no-index", "psih-bad-index",
+             "psi-bad-power", "psih-double-caret", "psi-signed-index", "filling-non-integer",
+             "filling-non-digit"],
     )
     def test_invalid_argument(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)

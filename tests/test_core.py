@@ -186,6 +186,28 @@ class TestPermissibility:
                     f = Filling.from_word(shape, word)
                     assert is_permissible(h, f) == is_row_strict(f)
 
+    def test_matches_brute_oracle_on_every_word(self):
+        """Every h, composition and word with n <= 5: permissible exactly
+        when the brute-force filter keeps the word.  dimension_pairs raises
+        NotPermissible on exactly the other words; that half skips the
+        multi-row shapes with n = 5 to keep the test short."""
+        for n in range(1, 6):
+            words = list(permutations(range(1, n + 1)))
+            for h in hessenberg_functions(n):
+                for shape in compositions(n, allow_zero_rows=True):
+                    kept = set(brute_permissible_words(h.values, shape))
+                    for word in words:
+                        f = Filling.from_word(shape, word)
+                        assert is_permissible(h, f) == (word in kept)
+                        if n == 5 and len(shape) > 1:
+                            continue
+                        try:
+                            dimension_pairs(h, f)
+                        except NotPermissible:
+                            assert word not in kept
+                        else:
+                            assert word in kept
+
 
 class TestDimensionPairs:
     def test_four_fillings_figure(self):
@@ -228,6 +250,16 @@ class TestDimensionPairs:
         assert pairs.with_larger(4) == {(1, 4), (3, 4)}
         assert pairs.with_larger(2) == {(1, 2)}
         assert pairs.larger_counts(5) == (0, 1, 0, 2, 1)
+
+    @pytest.mark.parametrize(
+        "shape,word,pairs",
+        [((3,), (3, 1, 0), {(1, 3)}), ((2, 1), (3, 1, 2), {(1, 2), (1, 3)})],
+    )
+    def test_partial_breaking_adjacency(self, shape, word, pairs):
+        """3 left of 1 breaks 3 <= h(1) for h = 1,2,3; no library path makes
+        such a partial filling, and its pairs are read all the same."""
+        h = make_hessenberg((1, 2, 3))
+        assert dimension_pairs_partial(h, PartialFilling(shape, word)) == pairs
 
     def test_matches_brute_oracle_exhaustively(self):
         for n in range(1, 6):

@@ -334,6 +334,8 @@ class TestSerialization:
             Polynomial.parse("", 4)
         with pytest.raises(ValueError, match="empty exponent"):
             Polynomial.parse("x2^*x3 + 1", 4)
+        with pytest.raises(ValueError, match=r"bad monomial factor 'x2\^a'"):
+            Polynomial.parse("x1 + x2^a", 4)
 
     def test_negative_exponents_are_refused(self):
         with pytest.raises(ValueError, match="negative exponent"):
