@@ -63,9 +63,22 @@ def size_cap(override: int | None = None) -> int:
     env = os.environ.get(_MAX_N_ENV)
     if env is None:
         return DEFAULT_MAX_N
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"{_MAX_N_ENV}={env!r} is not a positive integer")
-    return int(env)
+    try:
+        if cap := read_int(env):
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{_MAX_N_ENV}={env!r} is not a positive integer")
+
+
+def read_int(text: str) -> int:
+    """The integer that ``text`` writes in ASCII digits, with spaces around
+    them allowed: the one reader of integers given as text.  Anything else,
+    such as ``-1``, ``1_2`` or the Arabic-Indic ``٣``, raises ValueError."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(digits)
 
 
 def as_int(value) -> int:
@@ -108,7 +121,7 @@ class HessenbergFunction:
     @classmethod
     def parse(cls, text: str) -> "HessenbergFunction":
         """Parse a comma-separated value list such as ``"3,3,3,4"``."""
-        return cls(int(part) for part in text.split(","))
+        return cls(map(read_int, text.split(",")))
 
     @property
     def n(self) -> int:
@@ -303,13 +316,16 @@ def _parse_power(factor: str, n: int) -> tuple[int, int]:
     base, caret, power = factor.partition("^")
     if caret and not power:
         raise ValueError(f"empty exponent in {factor!r}")
-    digits = power.removeprefix("-") if caret else "1"  # "-" is refused below, by name
-    if not (base[:1] == "x" and base[1:].isdecimal() and digits.isdecimal()):
-        raise ValueError(f"bad monomial factor {factor!r}")
-    i, e = int(base[1:]), int(power) if caret else 1
+    try:
+        if not base.startswith("x"):
+            raise ValueError(base)
+        i = read_int(base[1:])
+        e = read_int(power.removeprefix("-")) if caret else 1  # "-" is refused below, by name
+    except ValueError:
+        raise ValueError(f"bad monomial factor {factor!r}") from None
     if not 1 <= i <= n:
         raise ValueError(f"variable x{i} out of range for n={n}")
-    if e < 0:
+    if power.startswith("-"):
         raise ValueError(f"negative exponent in {factor!r}")
     return i, e
 
@@ -345,6 +361,14 @@ class _ShapeWord:
     of :class:`Filling` and :class:`PartialFilling`."""
 
     __slots__ = ("shape", "word")
+
+    @classmethod
+    def _of(cls, shape: tuple[int, ...], word: tuple[int, ...]):
+        """An instance of a shape and word the caller built valid: nothing is checked."""
+        obj = cls.__new__(cls)
+        obj.shape = shape
+        obj.word = word
+        return obj
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -385,23 +409,18 @@ class Filling(_ShapeWord):
         rows = [tuple(row) for row in rows]
         if [len(row) for row in rows] != list(shape):
             raise ValueError(f"rows {rows} do not match shape {shape}")
-        self._fill(shape, [v for row in rows for v in row])
+        filling = self.from_word(shape, [v for row in rows for v in row])
+        self.shape, self.word = filling.shape, filling.word
 
     @classmethod
     def from_word(cls, shape: Iterable[int], word: Iterable[int]) -> "Filling":
-        filling = cls.__new__(cls)
-        filling._fill(as_shape(shape), word)
-        return filling
-
-    def _fill(self, shape: tuple[int, ...], word: Iterable[int]) -> None:
-        word = tuple(map(as_int, word))
+        shape, word = as_shape(shape), tuple(map(as_int, word))
         n = sum(shape)
         if len(word) != n:
             raise ValueError(f"word of length {len(word)} does not fill shape {shape}")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"entries {word} are not a bijection with 1..{n}")
-        self.shape = shape
-        self.word = word
+        return cls._of(shape, word)
 
     @property
     def n(self) -> int:
@@ -470,7 +489,7 @@ def subfilling(filling: Filling, i: int) -> PartialFilling:
     """Restriction T^(i): drop the values above i together with their boxes."""
     if not 1 <= i <= filling.n:
         raise ValueError(f"i={i} out of range 1..{filling.n}")
-    return PartialFilling(filling.shape, [v if v <= i else 0 for v in filling.word])
+    return PartialFilling._of(filling.shape, tuple(v if v <= i else 0 for v in filling.word))
 
 
 def is_row_strict(filling: Filling) -> bool:
@@ -563,7 +582,9 @@ def _pairs(boxes: list[_Box]) -> DimensionPairSet:
             low = mask & -mask  # bit j: b = a + 1 + j = a + low.bit_length()
             pairs.append((a, a + low.bit_length()))
             mask ^= low
-    return DimensionPairSet(pairs)
+    pair_set = DimensionPairSet.__new__(DimensionPairSet)  # int pairs: nothing to check
+    pair_set.pairs = frozenset(pairs)
+    return pair_set
 
 
 def _exponents(n: int, boxes: list[_Box]) -> tuple[int, ...]:
@@ -719,10 +740,11 @@ def enumerate_fillings(
     necessary: a right neighbour of k is >= m(k), m is nondecreasing and
     m(k) <= k, so the j-th value after v is >= m^j(v) >= m^r(v).  For the
     minimal h the rule reads "r free values above v", and one row takes n
-    steps, not about 2^n.  Each word becomes a validated :class:`Filling`.
+    steps, not about 2^n.  The walk builds only valid words, so each becomes
+    a :class:`Filling` unchecked.
     """
     shape = _fillable(h, shape, max_n)
-    return [Filling.from_word(shape, word) for word in _words(h, shape)]
+    return [Filling._of(shape, word) for word in _words(h, shape)]
 
 
 def betti_numbers(

@@ -17,7 +17,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
-from .core import HessenbergFunction, HesskitError, Monomial, _parse_power, as_int, degree_tuple
+from .core import (
+    HessenbergFunction,
+    HesskitError,
+    Monomial,
+    _parse_power,
+    as_int,
+    degree_tuple,
+    read_int,
+)
 
 
 class ZeroPolynomial(HesskitError, ValueError):
@@ -210,7 +218,7 @@ class Polynomial:
                     i, e = _parse_power(factor, n)
                     exps[i - 1] += e
                 else:
-                    coef *= int(factor)
+                    coef *= read_int(factor)
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coef
         return cls(n, terms)

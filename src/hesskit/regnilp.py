@@ -116,7 +116,7 @@ def build_h_tableau_tree(h: HessenbergFunction, max_n: int | None = None) -> Lab
         if word in seen:
             raise HesskitError(f"duplicate filling {word} in tree for h={h}")
         seen.add(word)
-        return Filling.from_word((h.n,), word)
+        return Filling._of((h.n,), word)
 
     return _h_tree(h, max_n, "h-tableau", payload)
 
@@ -145,7 +145,7 @@ def psi_h(h: HessenbergFunction, monomial: Monomial) -> Filling:
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
     word = _descend(1, (1,), _h_step(h), monomial, lambda: f"the basis for h={h}")
-    return Filling.from_word((n,), word)
+    return Filling._of((n,), word)
 
 
 @dataclass

@@ -104,7 +104,7 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     _check_cap(n, max_n, "modified GP-tree construction")
 
     def payload(level: int, state):
-        return PartialFilling(mu, state) if level else Filling.from_word(mu, state)
+        return PartialFilling._of(mu, state) if level else Filling._of(mu, state)
 
     return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
 
@@ -158,4 +158,4 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
     word = _descend(n, (0,) * n, _filling_step(mu), monomial, lambda: f"the basis of shape {mu}")
-    return Filling.from_word(mu, word)
+    return Filling._of(mu, word)

@@ -1,16 +1,20 @@
 """Command-line surface: golden outputs, JSON round trips, exit codes."""
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hesskit
-from hesskit import Filling, Monomial, Polynomial, regnilp
+from hesskit import DimensionPairSet, Filling, Monomial, Polynomial, regnilp
 from hesskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -316,12 +320,19 @@ class TestExitCodes:
              "non-integer entry in filling '1,2,x'"),
             (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "12a"],
              "non-integer entry in filling '12a'"),
+            (["betti", "--h", "3,3,3", "--mu", "1_2"], "--mu: invalid int_list value: '1_2'"),
+            (["psi", "--mu", "2,1", "--monomial", "x\u0663"], "bad monomial factor 'x\u0663'"),
+            (["betti", "--h", "3,3,3", "--mu", "3", "--max-n", "\u0663"],
+             "'\u0663' is not a positive integer"),
+            (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "\uff11\uff12\uff13"],
+             "non-integer entry in filling '\uff11\uff12\uff13'"),
         ],
         ids=["max-n", "all-n", "filling", "psi", "psih", "psi-empty-power",
              "psih-empty-power", "mu-empty-entry", "h-empty-entry", "filling-rows-vs-mu",
              "filling-rows-vs-one-row", "psi-max-n", "psi-no-index", "psih-bad-index",
              "psi-bad-power", "psih-double-caret", "psi-signed-index", "filling-non-integer",
-             "filling-non-digit"],
+             "filling-non-digit", "mu-underscore", "monomial-arabic-indic-digit",
+             "max-n-arabic-indic-digit", "filling-fullwidth-digits"],
     )
     def test_invalid_argument(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -337,6 +348,24 @@ class TestExitCodes:
     def test_verify_requires_exactly_one_mode(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2
         assert run_cli(capsys, "verify", "--h", "1,2", "--all-n", "3")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["basis"], "one of the arguments --h --mu is required"),
+            (["basis", "--h", "1", "--mu", "1"], "--mu: not allowed with argument --h"),
+            (["tree", "--kind", "h"], "one of the arguments --h --mu is required"),
+            (["tree", "--kind", "gp", "--mu", "2,1", "--h", "3,3,3"],
+             "--h: not allowed with argument --mu"),
+            (["tree", "--kind", "h", "--mu", "2,1"], "--kind h requires --h"),
+            (["tree", "--kind", "modified-gp", "--h", "3,3,3"], "--kind modified-gp requires --mu"),
+        ],
+        ids=["basis-none", "basis-both", "tree-none", "tree-both", "h-given-mu", "gp-given-h"],
+    )
+    def test_one_option_of_each_group(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err.splitlines()[-1]
 
 
 def _readme_commands() -> list[str]:
@@ -384,3 +413,110 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "1,2,1"
+
+
+# A small grammar of argv for every subcommand: lists of at most 5 entries
+# 0-6, mostly a valid h and a partition of its n, the occasional bad token,
+# optional --format and --max-n <= 6.
+BAD_TOKENS = ["", "x", "1_2", "-1", "\u0663", "3,,3", "1.5"]
+_any_list = st.lists(st.integers(0, 6), min_size=1, max_size=5)
+
+
+def _text(good, other=_any_list):
+    """Mostly ``good``, else ``other``, sometimes a bad token; lists joined by commas."""
+    text = st.one_of(good, good, good, good, good, other).map(
+        lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v))
+    return st.one_of(text, text, text, text, text, st.sampled_from(BAD_TOKENS))
+
+
+@st.composite
+def _hessenberg(draw, n):
+    values = []
+    for i in range(1, n + 1):
+        values.append(draw(st.integers(max([i, *values[-1:]]), n)))
+    return values
+
+
+@st.composite
+def _partition(draw, n):
+    parts = []
+    while sum(parts) < n:
+        parts.append(draw(st.integers(1, min([n - sum(parts), *parts[-1:]]))))
+    return parts
+
+
+@st.composite
+def _monomial(draw, n):
+    factors = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, 3)), max_size=3))
+    return "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in factors) or "1"
+
+
+@st.composite
+def cli_argv(draw):
+    n = draw(st.integers(1, 5))
+    command = draw(st.sampled_from(
+        ["fillings", "betti", "tree", "ideal", "basis", "phi", "psi", "psih", "verify"]))
+
+    def one_of(a, b):
+        return draw(st.sampled_from([[a], [b]] * 4 + [[a, b], []]))
+
+    options = {
+        "fillings": ["--h", "--mu"], "betti": ["--h", "--mu"], "ideal": ["--h"],
+        "phi": ["--h", "--mu", "--filling"], "psi": ["--mu", "--monomial"],
+        "psih": ["--h", "--monomial"], "tree": one_of("--h", "--mu"),
+        "basis": one_of("--h", "--mu"), "verify": one_of("--h", "--all-n"),
+    }[command]
+    word = st.permutations(range(1, n + 1))
+    values = {
+        "--h": _text(_hessenberg(n)),
+        "--mu": _text(_partition(n)),
+        "--all-n": _text(st.integers(1, 6), st.integers(0, 6)),
+        "--monomial": _text(_monomial(n), st.just("x0")),
+        "--filling": _text(word.map(lambda w: "".join(map(str, w))), word.map(list)),
+    }
+    argv = [command]
+    if command == "tree":
+        argv += ["--kind", draw(st.sampled_from(["gp", "modified-gp", "h", "h-tableau"]))]
+    for option in options:
+        argv += [option, draw(values[option])]
+    default = "dot" if command == "tree" else "plain"
+    if fmt := draw(st.sampled_from([None, default, "json", "json"])):
+        argv += ["--format", fmt]
+    if command not in ("phi", "psi", "psih") and draw(st.integers(0, 3)) == 0:
+        argv += ["--max-n", draw(_text(st.integers(1, 6), st.integers(0, 6)))]
+    return argv
+
+
+def _json_items(command: str, data):
+    """(library parser, its JSON) for each library object in a command's JSON output."""
+    if command == "fillings":
+        for record in data:
+            yield Filling.from_json, record["filling"]
+            yield DimensionPairSet, record["pairs"]
+            yield Monomial.from_json, record["monomial"]
+    elif command in ("psi", "psih"):
+        yield Filling.from_json, data
+    elif command in ("basis", "ideal"):
+        parse = Monomial.from_json if command == "basis" else Polynomial.from_json
+        yield from ((parse, item) for item in data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_every_argv_exits_cleanly(argv):
+    # HESSKIT_MAX_N=6 keeps every run small: --max-n is at most 6 too, so no
+    # capped command works past n = 6, and phi, psi and psih are polynomial
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as env, redirect_stdout(out), redirect_stderr(err):
+        env.setenv("HESSKIT_MAX_N", "6")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected an argument
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code in (2, 3, 4), (argv, code, err)
+        assert "error:" in err.splitlines()[-1], (argv, err)
+    elif "json" in argv:
+        for parse, item in _json_items(argv[0], json.loads(out)):
+            assert parse(item).to_json() == item

@@ -35,7 +35,7 @@ from hesskit import (
     phi,
     subfilling,
 )
-from hesskit.core import as_shape, phi_word
+from hesskit.core import as_shape, phi_word, size_cap
 
 from conftest import springer_h
 from oracles import brute_pairs, brute_permissible_words, compositions
@@ -583,3 +583,29 @@ def test_phi_image_avoids_x1_randomized(values):
 def test_non_integers_are_refused_not_truncated(build):
     with pytest.raises(ValueError, match="is not an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "read,message",
+    [
+        (lambda: HessenbergFunction.parse("2,\uff12"), "is not an integer in ASCII digits"),
+        (lambda: HessenbergFunction.parse("1,2_2"), "is not an integer in ASCII digits"),
+        (lambda: Monomial.parse("x\u0661", 1), "bad monomial factor"),
+        (lambda: Monomial.parse("x1^1_0", 1), "bad monomial factor"),
+        (lambda: Polynomial.parse("1_0*x1", 2), "'1_0' is not an integer in ASCII digits"),
+    ],
+    ids=["hessenberg-fullwidth", "hessenberg-underscore", "monomial-arabic-indic",
+         "monomial-underscore", "poly-coefficient-underscore"],
+)
+def test_integers_in_text_are_ascii_digits(read, message):
+    with pytest.raises(ValueError, match=message):
+        read()
+
+
+def test_size_cap_env_is_ascii_digits(monkeypatch):
+    monkeypatch.setenv("HESSKIT_MAX_N", " 7 ")
+    assert size_cap() == 7
+    for text in ["\u0667", "7_0", "-7", "0", "+7"]:
+        monkeypatch.setenv("HESSKIT_MAX_N", text)
+        with pytest.raises(ValueError, match="HESSKIT_MAX_N"):
+            size_cap()

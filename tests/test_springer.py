@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 from math import factorial, prod
 
 import pytest
@@ -12,6 +13,7 @@ from hesskit import (
     NotInBasis,
     PartialFilling,
     SizeLimitExceeded,
+    betti_numbers,
     build_gp_tree,
     build_modified_gp_tree,
     enumerate_fillings,
@@ -24,7 +26,7 @@ from hesskit.cli import main
 from hesskit.springer import iter_basis_monomials, tree_path_count
 
 from conftest import springer_h
-from oracles import partitions
+from oracles import partitions, springer_hilbert_series
 
 
 def monos(texts, n):
@@ -300,3 +302,28 @@ class TestTreeSerialization:
         assert data["root"]["id"] == "r"
         leaf = data["root"]["children"][0]["children"][0]
         assert "monomial" in leaf
+
+
+class TestCochargeOracle:
+    """For the minimal h the Betti numbers are the Hilbert series of the
+    Garsia-Procesi ring R_mu, which the oracle sums over semistandard
+    tableaux by cocharge, sharing no code with hesskit."""
+
+    SHAPES_PAST_BRUTE_FORCE = [(3, 3, 2, 2), (5, 3, 2, 1), (4, 4, 4), (5, 4, 3), (6, 6)]
+
+    def test_betti_numbers(self):
+        shapes = [mu for n in range(1, 8) for mu in partitions(n)] + self.SHAPES_PAST_BRUTE_FORCE
+        for mu in shapes:
+            n = sum(mu)
+            assert list(betti_numbers(springer_h(n), mu, max_n=n)) == springer_hilbert_series(mu)
+
+    def test_gp_basis_degrees(self):
+        for mu in [mu for n in range(1, 8) for mu in partitions(n)] + [(3, 3, 2, 2), (6, 6)]:
+            degrees = Counter(m.degree for m in garsia_procesi_basis(mu, max_n=sum(mu)))
+            assert [degrees[k] for k in range(max(degrees) + 1)] == springer_hilbert_series(mu)
+
+    def test_oracle_small_cases(self):
+        # coinvariants of S_3, and R_(2,1), from the definitions
+        assert springer_hilbert_series((1, 1, 1)) == [1, 2, 2, 1]
+        assert springer_hilbert_series((2, 1)) == [1, 2]
+        assert springer_hilbert_series((4,)) == [1]
