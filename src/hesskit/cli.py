@@ -68,9 +68,10 @@ def _print(args, as_json, lines) -> int:
     return EXIT_OK
 
 
-def _phi_record(h: HessenbergFunction, pairs: core.DimensionPairSet) -> dict:
-    """Dimension pairs of a filling and their monomial, computed once for any format."""
-    return {"pairs": pairs, "monomial": Monomial(pairs.larger_counts(h.n))}
+def _phi_record(n: int, boxes: list) -> dict:
+    """Dimension pairs of a filling and their monomial, from one kernel pass
+    (:func:`core._boxes`), computed once for any format."""
+    return {"pairs": core._pairs(boxes), "monomial": Monomial(core._exponents(n, boxes))}
 
 
 def _json_record(record: dict) -> dict:
@@ -84,7 +85,11 @@ def _pair_text(pairs) -> str:
 def cmd_fillings(args) -> int:
     h = HessenbergFunction(args.h)
     fillings = core.enumerate_fillings(h, args.mu, max_n=args.max_n)
-    records = ({"filling": f, **_phi_record(h, core.dimension_pairs(h, f))} for f in fillings)
+    # enumerate_fillings yields permissible fillings only: their boxes need no check
+    records = (
+        {"filling": f, **_phi_record(h.n, core._boxes(h.values, f.shape, f.word))}
+        for f in fillings
+    )
     return _print(
         args,
         lambda: [_json_record(r) for r in records],
@@ -151,7 +156,7 @@ def cmd_basis(args) -> int:
 def cmd_phi(args) -> int:
     h = HessenbergFunction(args.h)
     filling = Filling.from_word(args.mu, _parse_word(args.filling, args.mu))
-    record = _phi_record(h, core.dimension_pairs(h, filling))
+    record = _phi_record(h.n, core._checked_boxes(h, filling))
     return _print(
         args,
         lambda: _json_record(record),

@@ -687,24 +687,35 @@ def _fillable(h: HessenbergFunction, shape: Sequence[int], max_n: int | None) ->
     return shape
 
 
+def _prune_tables(h_values: Sequence[int], depth: int) -> tuple[list, list[list[int]]]:
+    """The two tables of the pruned word walks, for r = 0 .. depth - 1.
+
+    ``allowed[k]`` lists the values that may sit right of k, in increasing
+    order; index 0 serves a row start.  ``above[r][v]`` is the mask of the
+    values >= m^r(v), bit u for the value u, where m(k) = min{u : h(u) >= k}
+    is the bisection of the sorted h values: v stays only when its row can
+    still take the r boxes after it (see :func:`enumerate_fillings`)."""
+    n = len(h_values)
+    values = range(1, n + 1)
+    allowed = [values] + [[v for v in values if k <= h_values[v - 1]] for k in values]
+    full = (2 << n) - 2
+    floor = list(range(n + 1))
+    above = []
+    for _ in range(depth):
+        above.append([full >> u << u for u in floor])
+        floor = [bisect_left(h_values, u) + 1 for u in floor]
+    return allowed, above
+
+
 def _words(h: HessenbergFunction, shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The permissible row-reading words of a shape with h.n boxes, in
     lexicographic order, as bare tuples; see :func:`enumerate_fillings`."""
     n = h.n
     hv = h.values
-    values = range(1, n + 1)
-    # allowed[k]: the values that may sit right of k; index 0 serves a row start
-    allowed = [values] + [[v for v in values if k <= hv[v - 1]] for k in values]
     joined = [c > 0 for length in shape for c in range(length)]
     rest = [length - 1 - c for length in shape for c in range(length)]
-    # above[r][v]: the values >= m^r(v) as a mask, bit u for the value u;
-    # m(k) = min{u : h(u) >= k} is the bisection of the sorted h values
+    allowed, above = _prune_tables(hv, max(rest, default=0) + 1)
     full = (2 << n) - 2
-    floor = list(range(n + 1))
-    above = []
-    for _ in range(max(rest, default=0) + 1):
-        above.append([full >> u << u for u in floor])
-        floor = [bisect_left(hv, u) + 1 for u in floor]
     last = n - 1
     out = []
 

@@ -11,6 +11,13 @@ a word at level i-1 has a child for each slot of i, on the edge x_i^e for
 slot e+1 counted right to left.  The h-tree and the h-tableau-tree are built
 from it, :func:`iter_words` streams its leaves, and :func:`psi_h` descends
 it along the path whose exponents are the monomial's.
+
+:func:`verify_counts` checks the paper's counting identities with two
+independent walks.  An adjacency walk on the prune tables of
+:func:`enumerate_fillings` grows each word left to right and carries its
+image under phi as it goes, as one integer key; the insertion tree is
+walked down to level n-1 only, where each step's slot count is the number
+of leaves below it.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from .core import (
     HesskitError,
     Monomial,
     _check_cap,
-    _words,
+    _prune_tables,
     degree_tuple,
     nu_tuple,
-    phi_word,
 )
 from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
 
@@ -166,26 +172,116 @@ class VerifyReport:
         )
 
 
+def _image_keys(h: HessenbergFunction) -> list[int]:
+    """The image under phi of each permissible one-row word, one key per
+    word: the exponents e_b as the integer ``sum e_b * n^(b-1)``, which
+    decodes uniquely because every e_b <= b - 1 < n.
+
+    One walk on the prune tables of :func:`enumerate_fillings`
+    (``core._prune_tables``) grows each word left to right and its key
+    with it.  Placing v right of a settles the partners of a: the values
+    placed before a that lie in (a, h(v)], each adding n^(b-1) for its
+    value b.  The last box has cap n, so its partners are all the values
+    above it, and its closing sum depends on the last two values only.
+    The sum over a mask is read from byte chunks of 256 entries each, so
+    the tables stay small for any n: a flat table over masks would have
+    2^(n+1) entries.
+    """
+    n = h.n
+    hv = h.values
+    allowed, above = _prune_tables(hv, n)
+    full = (2 << n) - 2
+
+    def band(a: int, cap: int) -> int:  # the values a+1 .. cap, none at a row start
+        return ((2 << cap) - 1) ^ ((2 << a) - 1) if a else 0
+
+    chunks = []
+    for s in range(2, n + 1, 8):  # the values s .. s+7; 1 is never a partner
+        table = [0]
+        for b in range(s, s + 8):
+            table += [k + n ** (b - 1) for k in table]
+        chunks.append((s, table))
+
+    def weight(mask: int) -> int:  # sum n^(b-1) over the values b in mask
+        return sum(table[mask >> s & 255] for s, table in chunks)
+
+    edges = [[(v, 1 << v, band(a, hv[v - 1])) for v in allowed[a]] for a in range(n + 1)]
+    # closing[a][v]: the key the last two boxes a, v add, None unless a <= h(v);
+    # all values but v are placed by then, and the partners of v are all above it
+    tail = [weight(full >> (v + 1) << (v + 1)) for v in range(n + 1)]
+    closing = [[None] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        for v in allowed[a]:
+            closing[a][v] = weight(band(a, hv[v - 1]) & ~(1 << v)) + tail[v]
+    last = n - 1
+    keys: list[int] = []
+
+    def extend(p: int, a: int, free: int, key: int) -> None:
+        # p boxes are filled, the last one with a (0 before the first)
+        if p == last:
+            if (k := closing[a][free.bit_length() - 1]) is not None:
+                keys.append(key + k)
+            return
+        r = last - p
+        reach = above[r]
+        for v, bit, partners in edges[a]:
+            if free & bit and (free & reach[v]).bit_count() > r:
+                placed = partners & ~free
+                k = key
+                for s, table in chunks:  # weight(placed), inlined
+                    k += table[placed >> s & 255]
+                extend(p + 1, v, free ^ bit, k)
+
+    extend(0, 0, full, 0)
+    del extend  # the closure refers to itself: free the cycle, and keys with it
+    return keys
+
+
+def _leaf_count(h: HessenbergFunction) -> int:
+    """The leaves of the insertion tree, walked down to level n-1: a step
+    there gives the slot count of level n, so no leaf is built.  Every
+    level's step still checks that it has beta_i slots."""
+    n = h.n
+    step = _h_step(h)
+    count = 0
+    stack = [(1, (1,))]
+    while stack:
+        branch = step(*stack.pop())
+        if branch is None:  # the root, at n = 1
+            count += 1
+        elif (level := branch[2]) == n:
+            count += len(branch[1])
+        else:
+            child = branch[3]
+            stack += [(level, child(e)) for e in branch[1]]
+    return count
+
+
 def verify_counts(h: HessenbergFunction, max_n: int | None = None) -> VerifyReport:
     """Check the one-row counting identities for h.
 
-    ``fillings`` counts the permissible words of the pruned walk behind
-    :func:`enumerate_fillings`, taken as bare tuples, and ``leaves`` the
-    paths of the independent insertion tree.  ``a_equals_b`` compares the
-    exponent tuples :func:`phi_word` gives those words with the staircase
-    ``product(range(beta_i))``, as sets.
+    ``fillings`` counts the words of the pruned adjacency walk, each with
+    its phi image as one integer key (:func:`_image_keys`), and ``leaves``
+    the paths of the independent insertion tree, walked to level n-1.
+    ``a_equals_b`` compares the set of keys with the keys of the staircase
+    ``product(range(beta_i))``.  Words are counted, not distinct keys, so
+    a repeated image still shows as a failure.
     """
     n = h.n
     _check_cap(n, max_n, "count verification")
     beta = degree_tuple(h)
-    words = _words(h, (n,))
-    image = {phi_word(h.values, word) for word in words}
-    leaves = sum(1 for _ in iter_words(h))
+    keys = _image_keys(h)
+    staircase = [0]
+    for b, top in enumerate(beta):
+        step = n**b  # above every key so far: the exponents of x_1 .. x_b
+        staircase = [e + k for e in range(0, top * step, step) for k in staircase]
+    image = set(keys)
     return VerifyReport(
         h=h,
-        fillings=len(words),
-        leaves=leaves,
+        fillings=len(keys),
+        leaves=_leaf_count(h),
         prod_nu=prod(nu_tuple(h)),
         prod_beta=prod(beta),
-        a_equals_b=image == set(product(*(range(b) for b in beta))),
+        # the staircase keys are distinct, so this is set equality
+        a_equals_b=len(image) == len(staircase) and image.issuperset(staircase),
     )

@@ -21,7 +21,7 @@ from hesskit import (
     verify_counts,
 )
 from hesskit import regnilp
-from hesskit.core import phi_word
+from hesskit.core import _words, phi_word
 from hesskit.regnilp import iter_words, level_n_fillings
 
 from conftest import springer_h
@@ -246,26 +246,63 @@ class TestVerifyCounts:
         assert report.ok()
 
     def test_a_wrong_exponent_is_caught(self, h334, monkeypatch):
-        """One exponent off by one leaves every count right; only the set
-        comparison with the staircase sees it."""
-        real = regnilp.phi_word
-
-        def off_by_one(h_values, word):
-            exps = real(h_values, word)
-            return (exps[0] + 1, *exps[1:]) if word == (1, 2, 3, 4) else exps
-
-        monkeypatch.setattr(regnilp, "phi_word", off_by_one)
+        """One key off by one leaves every count right; only the set
+        comparison with the staircase sees it.  Key + 1 raises the exponent
+        of x_1, which is 0 on the whole staircase."""
+        real = regnilp._image_keys
+        monkeypatch.setattr(regnilp, "_image_keys", lambda h: [real(h)[0] + 1, *real(h)[1:]])
         report = verify_counts(h334)
         assert report.fillings == report.leaves == report.prod_beta == 6
         assert not report.a_equals_b
         assert not report.ok()
 
     def test_a_missing_word_is_caught(self, h334, monkeypatch):
-        real = regnilp._words
-        monkeypatch.setattr(regnilp, "_words", lambda h, shape: real(h, shape)[1:])
+        real = regnilp._image_keys
+        monkeypatch.setattr(regnilp, "_image_keys", lambda h: real(h)[1:])
         report = verify_counts(h334)
         assert report.fillings != report.prod_beta
         assert not report.ok()
+
+    def test_a_repeated_image_is_caught(self, h334, monkeypatch):
+        """Words are counted, not distinct keys: a key that stands in for
+        another keeps the count right and fails the set comparison."""
+        real = regnilp._image_keys
+        monkeypatch.setattr(regnilp, "_image_keys", lambda h: [*real(h)[:-1], real(h)[0]])
+        report = verify_counts(h334)
+        assert report.fillings == report.leaves == report.prod_beta == 6
+        assert not report.a_equals_b
+        assert not report.ok()
+
+    def test_keys_decode_to_phi_of_every_word(self):
+        """The fused walk's keys are the base-n encodings of the exponent
+        tuples phi_word gives the words of the pruned walk, as multisets."""
+        for n in range(1, 7):
+            for h in hessenberg_functions(n):
+                decoded = sorted(
+                    tuple(key // n**b % n for b in range(n)) for key in regnilp._image_keys(h)
+                )
+                assert decoded == sorted(phi_word(h.values, w) for w in _words(h, (n,)))
+
+    def test_word_total_is_odd_double_factorial(self):
+        """Summed over every h of size n, the one-row fillings number
+        (2n-1)!! = 1, 3, 15, 105, ..."""
+        for n in range(1, 8):
+            total = sum(verify_counts(h).fillings for h in hessenberg_functions(n))
+            assert total == prod(range(1, 2 * n, 2))
+
+    def test_minimal_h_beyond_the_default_cap(self):
+        """n = 24 spans three key chunks; a flat table would have 2^25 entries."""
+        report = verify_counts(springer_h(24), max_n=24)
+        assert report.fillings == 1
+        assert report.ok()
+
+    def test_keys_across_two_chunks(self):
+        """h = (2, 3, ..., 14, 14): beta = (1, 2, ..., 2), so 2^13 images
+        whose keys read values 2..9 from one chunk and 10..14 from the next."""
+        h = make_hessenberg((*range(2, 15), 14))
+        report = verify_counts(h, max_n=14)
+        assert report.prod_beta == 2**13
+        assert report.ok()
 
     def test_all_n5_functions(self):
         reports = [verify_counts(h) for h in hessenberg_functions(5)]
