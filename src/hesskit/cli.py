@@ -69,17 +69,18 @@ def _print(args, as_json, lines) -> int:
 
 
 def _phi_record(n: int, boxes: list) -> dict:
-    """Dimension pairs of a filling and their monomial, from one kernel pass
-    (:func:`core._boxes`), computed once for any format."""
-    return {"pairs": core._pairs(boxes), "monomial": Monomial(core._exponents(n, boxes))}
+    """Dimension pairs of a filling, sorted, and their monomial, from one
+    kernel pass (:func:`core._boxes`), computed once for any format."""
+    return {"pairs": sorted(core._pairs(boxes)), "monomial": Monomial(core._exponents(n, boxes))}
 
 
 def _json_record(record: dict) -> dict:
-    return {key: value.to_json() for key, value in record.items()}
+    """The record as JSON; its sorted pair tuples serialize as they are."""
+    return {key: value if key == "pairs" else value.to_json() for key, value in record.items()}
 
 
-def _pair_text(pairs) -> str:
-    return ",".join(f"({a},{b})" for a, b in pairs.sorted()) or "-"
+def _pair_text(pairs: list[tuple[int, int]]) -> str:
+    return ",".join(f"({a},{b})" for a, b in pairs) or "-"
 
 
 def cmd_fillings(args) -> int:

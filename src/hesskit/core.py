@@ -148,11 +148,6 @@ class HessenbergFunction:
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.values)
 
-    @property
-    def is_springer(self) -> bool:
-        """True for the minimal function h = (1, 2, ..., n)."""
-        return all(v == i for i, v in enumerate(self.values, start=1))
-
 
 def make_hessenberg(values: Iterable[int]) -> HessenbergFunction:
     """Validate a sequence as a Hessenberg function."""
@@ -260,24 +255,13 @@ class Monomial(tuple):
         return cls(exps)
 
     @property
-    def n(self) -> int:
-        return len(self)
-
-    @property
     def degree(self) -> int:
         return sum(self)
-
-    def exponent(self, i: int) -> int:
-        """Exponent of x_i (1-based)."""
-        return self[i - 1]
 
     def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
         if not isinstance(other, tuple):
             return NotImplemented
         return Monomial(a + b for a, b in zip(self, other, strict=True))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self, other, strict=True))
 
     def __str__(self) -> str:
         parts = []
@@ -293,10 +277,11 @@ class Monomial(tuple):
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Monomial":
-        """Parse the CLI syntax ``x2*x4^2``; bare ``1`` is the empty monomial."""
+        """Parse the CLI syntax ``x2*x4^2``; bare ``1`` is the monomial 1, and
+        empty text is refused like any other factor that is not ``x<i>``."""
         text = text.strip().replace(" ", "")
         exps = [0] * n
-        if text in ("1", ""):
+        if text == "1":
             return cls(exps)
         for factor in text.split("*"):
             i, e = _parse_power(factor, n)
@@ -426,12 +411,6 @@ class Filling(_ShapeWord):
     def n(self) -> int:
         return len(self.word)
 
-    def position(self, value: int) -> tuple[int, int]:
-        for rc, v in self.boxes().items():
-            if v == value:
-                return rc
-        raise ValueError(f"value {value} not present")
-
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "word": list(self.word)}
 
@@ -441,7 +420,7 @@ class Filling(_ShapeWord):
 
 
 class PartialFilling(_ShapeWord):
-    """Some boxes of a shape with values; rows may have gaps.
+    """Some boxes of a shape with distinct values in 1..#boxes; rows may have gaps.
 
     Produced by :func:`subfilling` and carried by the partial states of the
     modified GP-tree.  Re-assemble the filled boxes as a composition with
@@ -453,10 +432,12 @@ class PartialFilling(_ShapeWord):
     def __init__(self, shape: Iterable[int], word: Iterable[int]):
         self.shape = as_shape(shape)
         self.word = tuple(map(as_int, word))
-        if len(self.word) != sum(self.shape):
+        size = sum(self.shape)
+        if len(self.word) != size:
             raise ValueError(f"word {list(self.word)} does not fill shape {self.shape}")
-
-    boxes = property(_ShapeWord.boxes)  # an attribute of a partial filling
+        values = [v for v in self.word if v]
+        if len(set(values)) != len(values) or not all(1 <= v <= size for v in values):
+            raise ValueError(f"entries {list(self.word)} are not distinct values in 1..{size}")
 
     def is_composition(self) -> bool:
         """True when every row's filled boxes are exactly its first columns."""
@@ -574,7 +555,7 @@ def is_permissible(h: HessenbergFunction, filling: Filling) -> bool:
     return _permissible_boxes(h, filling) is not None
 
 
-def _pairs(boxes: list[_Box]) -> DimensionPairSet:
+def _pairs(boxes: list[_Box]) -> frozenset[tuple[int, int]]:
     """The partner masks of :func:`_boxes` expanded into pairs (a, b)."""
     pairs = []
     for a, _, mask in boxes:
@@ -582,9 +563,7 @@ def _pairs(boxes: list[_Box]) -> DimensionPairSet:
             low = mask & -mask  # bit j: b = a + 1 + j = a + low.bit_length()
             pairs.append((a, a + low.bit_length()))
             mask ^= low
-    pair_set = DimensionPairSet.__new__(DimensionPairSet)  # int pairs: nothing to check
-    pair_set.pairs = frozenset(pairs)
-    return pair_set
+    return frozenset(pairs)
 
 
 def _exponents(n: int, boxes: list[_Box]) -> tuple[int, ...]:
@@ -598,62 +577,22 @@ def _exponents(n: int, boxes: list[_Box]) -> tuple[int, ...]:
     return tuple(exps)
 
 
-class DimensionPairSet:
-    """The pairs (a, b) contributing to the cell dimension of a filling."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs = frozenset((as_int(a), as_int(b)) for a, b in pairs)
-
-    def sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
-
-    def with_larger(self, y: int) -> set[tuple[int, int]]:
-        """The group D_y = {(x, y) in the set}."""
-        return {p for p in self.pairs if p[1] == y}
-
-    def larger_counts(self, n: int) -> tuple[int, ...]:
-        """|D_y| for y = 1..n; these are the exponents of the image monomial."""
-        counts = [0] * n
-        for _, b in self.pairs:
-            counts[b - 1] += 1
-        return tuple(counts)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.sorted())
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return tuple(pair) in self.pairs
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DimensionPairSet):
-            return self.pairs == other.pairs
-        if isinstance(other, (set, frozenset)):
-            return self.pairs == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"DimensionPairSet({self.sorted()})"
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.sorted()]
-
-
-def dimension_pairs(h: HessenbergFunction, filling: Filling) -> DimensionPairSet:
-    """All pairs (a, b) with b > a, b below-in-column or strictly left of a,
-    and b <= h(c) whenever a has a right neighbor c."""
+def dimension_pairs(h: HessenbergFunction, filling: Filling) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) with b > a, b below-in-column or strictly left of a,
+    and b <= h(c) whenever a has a right neighbor c, as a frozenset of int
+    tuples.  Its size is the cell dimension; the group D_y = {(x, y)} has
+    the exponent of x_y in :func:`phi` as its size."""
     return _pairs(_checked_boxes(h, filling))
 
 
-def dimension_pairs_partial(h: HessenbergFunction, partial: PartialFilling) -> DimensionPairSet:
-    """Dimension pairs of a partial filling; columns are read literally by index."""
+def dimension_pairs_partial(
+    h: HessenbergFunction, partial: PartialFilling
+) -> frozenset[tuple[int, int]]:
+    """Dimension pairs of a partial filling with h.n boxes, as for
+    :func:`dimension_pairs`; columns are read literally by index, and
+    adjacency is not checked."""
+    if (size := len(partial.word)) != h.n:
+        raise ValueError(f"partial filling has {size} boxes but h has n={h.n}")
     return _pairs(_boxes(h.values, partial.shape, partial.word))
 
 

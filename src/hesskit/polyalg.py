@@ -61,20 +61,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
-
-    @classmethod
     def constant(cls, n: int, value: int) -> "Polynomial":
         return cls(n, {(0,) * n: value})
 
     @classmethod
     def one(cls, n: int) -> "Polynomial":
         return cls.constant(n, 1)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "Polynomial":
-        return cls.from_monomial(Monomial.variable(n, i))
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coef: int = 1) -> "Polynomial":
@@ -96,11 +88,6 @@ class Polynomial:
     def terms_desc(self) -> list[tuple[Monomial, int]]:
         """Terms in descending lex order."""
         return [(Monomial(e), self.terms[e]) for e in sorted(self.terms, reverse=True)]
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 

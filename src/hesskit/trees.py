@@ -37,9 +37,6 @@ class TreeNode:
         self.edge = edge  # label on the edge from the parent; None at the root
         self.children: list[TreeNode] = []
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __repr__(self) -> str:
         return f"TreeNode({self.node_id!r}, level={self.level!r}, payload={self.payload!r})"
 

@@ -9,11 +9,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they print.
 """
 
+import importlib
+import importlib.util
 import time
 from contextlib import contextmanager
 from math import factorial, prod
 from pathlib import Path
 
+import hesskit
 from hesskit import (
     Filling,
     Monomial,
@@ -258,3 +261,20 @@ def test_criterion_10_tree_oracle_equivalence():
                 }
                 brute = {f.word for f in enumerate_fillings(h, mu)}
                 assert level0 == brute
+
+
+def test_traced_names_and_exports_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps, and every name
+    in ``hesskit.__all__``, exists: the tracer looks each one up, so one
+    deleted name breaks every traced benchmark run."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, attr in tracer.TRACED:
+        obj = importlib.import_module(f"hesskit.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"hesskit.{module}.{attr}"
+    assert [name for name in hesskit.__all__ if not hasattr(hesskit, name)] == []

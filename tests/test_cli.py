@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hesskit
-from hesskit import DimensionPairSet, Filling, Monomial, Polynomial, regnilp
+from hesskit import Filling, Monomial, Polynomial, regnilp
 from hesskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -316,6 +316,8 @@ class TestExitCodes:
             (["psih", "--h", "2,3,3", "--monomial", "x1^2^3"],
              "bad monomial factor 'x1^2^3'"),
             (["psi", "--mu", "2,1", "--monomial", "x+3"], "bad monomial factor 'x+3'"),
+            (["psi", "--mu", "2,1", "--monomial", ""], "bad monomial factor ''"),
+            (["psih", "--h", "2,3,3", "--monomial", "  "], "bad monomial factor ''"),
             (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "1,2,x"],
              "non-integer entry in filling '1,2,x'"),
             (["phi", "--h", "3,3,3", "--mu", "3", "--filling", "12a"],
@@ -330,7 +332,8 @@ class TestExitCodes:
         ids=["max-n", "all-n", "filling", "psi", "psih", "psi-empty-power",
              "psih-empty-power", "mu-empty-entry", "h-empty-entry", "filling-rows-vs-mu",
              "filling-rows-vs-one-row", "psi-max-n", "psi-no-index", "psih-bad-index",
-             "psi-bad-power", "psih-double-caret", "psi-signed-index", "filling-non-integer",
+             "psi-bad-power", "psih-double-caret", "psi-signed-index", "psi-empty-monomial",
+             "psih-blank-monomial", "filling-non-integer",
              "filling-non-digit", "mu-underscore", "monomial-arabic-indic-digit",
              "max-n-arabic-indic-digit", "filling-fullwidth-digits"],
     )
@@ -488,11 +491,15 @@ def cli_argv(draw):
 
 
 def _json_items(command: str, data):
-    """(library parser, its JSON) for each library object in a command's JSON output."""
+    """(library parser, its JSON) for each library object in a command's JSON
+    output.  A filling's pairs are plain data, checked here: a sorted list of
+    distinct integer pairs (a, b) with a < b."""
     if command == "fillings":
         for record in data:
+            pairs = [tuple(p) for p in record["pairs"]]
+            assert pairs == sorted(set(pairs)), pairs
+            assert all(type(a) is type(b) is int and a < b for a, b in pairs), pairs
             yield Filling.from_json, record["filling"]
-            yield DimensionPairSet, record["pairs"]
             yield Monomial.from_json, record["monomial"]
     elif command in ("psi", "psih"):
         yield Filling.from_json, data

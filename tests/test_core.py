@@ -1,5 +1,6 @@
 """Core vocabulary: validation, dimension pairs, the filling -> monomial map."""
 
+import random
 from collections import Counter
 from itertools import permutations
 from math import factorial, prod
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from hesskit import (
     ConstraintViolation,
-    DimensionPairSet,
     Filling,
     HessenbergFunction,
     Monomial,
@@ -38,9 +38,21 @@ from hesskit import (
 from hesskit.core import as_shape, phi_word, size_cap
 
 from conftest import springer_h
-from oracles import brute_pairs, brute_permissible_words, compositions
+from oracles import brute_pairs, brute_permissible_words, compositions, partitions
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def staircase_series(beta) -> tuple[int, ...]:
+    """Coefficients of prod_i (1 + q + ... + q^(beta_i - 1)); for beta = 1..n
+    this is [n]_q!, the Mahonian numbers (permutations by inversions)."""
+    coefficients = [1]
+    for b in beta:
+        coefficients = [
+            sum(coefficients[max(0, k - b + 1) : k + 1])
+            for k in range(len(coefficients) + b - 1)
+        ]
+    return tuple(coefficients)
 
 
 def hess_values(max_n=7):
@@ -69,7 +81,8 @@ class TestHessenbergFunction:
         assert h(1) == 3 and h(4) == 4
 
     def test_minimal_springer_case(self):
-        assert make_hessenberg((1, 2, 3, 4)).is_springer
+        h = make_hessenberg((1, 2, 3, 4))
+        assert degree_tuple(h) == nu_tuple(h) == (1, 1, 1, 1)
 
     def test_monotonicity_violation_identified(self):
         with pytest.raises(ConstraintViolation) as exc:
@@ -246,10 +259,11 @@ class TestDimensionPairs:
 
     def test_grouped_view(self):
         h = make_hessenberg((2, 4, 4, 5, 5))
-        pairs = dimension_pairs(h, Filling.from_word((5,), (5, 4, 2, 1, 3)))
-        assert pairs.with_larger(4) == {(1, 4), (3, 4)}
-        assert pairs.with_larger(2) == {(1, 2)}
-        assert pairs.larger_counts(5) == (0, 1, 0, 2, 1)
+        T = Filling.from_word((5,), (5, 4, 2, 1, 3))
+        pairs = dimension_pairs(h, T)
+        assert {(a, b) for a, b in pairs if b == 4} == {(1, 4), (3, 4)}
+        assert {(a, b) for a, b in pairs if b == 2} == {(1, 2)}
+        assert phi(h, T) == Monomial((0, 1, 0, 2, 1))  # |D_y| for y = 1..5
 
     @pytest.mark.parametrize(
         "shape,word,pairs",
@@ -261,13 +275,21 @@ class TestDimensionPairs:
         h = make_hessenberg((1, 2, 3))
         assert dimension_pairs_partial(h, PartialFilling(shape, word)) == pairs
 
+    def test_partial_fillings_are_validated(self):
+        h = make_hessenberg((2, 3, 3))
+        with pytest.raises(ValueError, match="4 boxes but h has n=3"):
+            dimension_pairs_partial(h, PartialFilling((4,), (1, 2, 3, 4)))
+        for word in [(2, 5, 0), (2, 2, 0), (-1, 2, 0)]:
+            with pytest.raises(ValueError, match=r"not distinct values in 1\.\.3"):
+                PartialFilling((3,), word)
+
     def test_matches_brute_oracle_exhaustively(self):
         for n in range(1, 6):
             for h in hessenberg_functions(n):
                 for shape in compositions(n, allow_zero_rows=True):
                     for word in brute_permissible_words(h.values, shape):
                         f = Filling.from_word(shape, word)
-                        assert dimension_pairs(h, f).pairs == brute_pairs(
+                        assert dimension_pairs(h, f) == brute_pairs(
                             h.values, shape, word
                         )
 
@@ -293,7 +315,7 @@ class TestPhi:
                 for f in enumerate_fillings(h, (n,)):
                     m = phi(h, f)
                     assert m.degree == len(dimension_pairs(h, f))
-                    assert m.exponent(1) == 0
+                    assert m[0] == 0
 
     def test_phi_word_fast_path_agrees(self):
         for h in hessenberg_functions(5):
@@ -359,13 +381,39 @@ class TestEnumerationAndBetti:
         prod_i (1 + q + ... + q^(beta_i - 1))."""
         h = make_hessenberg(h_values)
         assert degree_tuple(h) == beta
-        coefficients = [1]
-        for b in beta:
-            coefficients = [
-                sum(coefficients[max(0, k - b + 1) : k + 1])
-                for k in range(len(coefficients) + b - 1)
-            ]
-        assert betti_numbers(h, (h.n,), max_n=h.n) == tuple(coefficients)
+        assert betti_numbers(h, (h.n,), max_n=h.n) == staircase_series(beta)
+
+    # The next three tests check multi-row shapes past the n <= 5 of the
+    # brute-force oracle with facts from geometry, not with more brute force.
+    # Together they take about 0.9 s (Python 3.11.7 on a 2-core VM).
+
+    def test_maximal_h_gives_mahonian_numbers_on_every_composition(self):
+        """For h = (n, ..., n) the Hessenberg variety of any nilpotent is the
+        whole flag variety, whose Poincare polynomial is [n]_(t^2)!."""
+        for n in range(1, 7):
+            h = make_hessenberg((n,) * n)
+            for shape in compositions(n):
+                assert betti_numbers(h, shape) == staircase_series(range(1, n + 1)), shape
+
+    def test_zero_nilpotent_gives_mahonian_numbers_for_every_h(self):
+        """mu = (1^n) is the zero matrix, whose Hessenberg variety is the
+        whole flag variety for every h."""
+        for n in range(1, 7):
+            for h in hessenberg_functions(n):
+                assert betti_numbers(h, (1,) * n) == staircase_series(range(1, n + 1)), h
+
+    def test_betti_numbers_ignore_row_order(self):
+        """The variety depends on the nilpotent's Jordan type only, not on
+        the order of its blocks: a seeded sample at n = 7."""
+        rng = random.Random(12)
+        functions = list(hessenberg_functions(7))
+        shapes = [mu for mu in partitions(7) if len(set(mu)) > 1]
+        for _ in range(40):
+            h, mu = rng.choice(functions), rng.choice(shapes)
+            rows = list(mu)
+            while tuple(rows) == mu:
+                rng.shuffle(rows)
+            assert betti_numbers(h, rows) == betti_numbers(h, mu), (h, mu, rows)
 
     def test_betti_sums_to_filling_count(self):
         for h in hessenberg_functions(4):
@@ -394,17 +442,17 @@ class TestSubfillings:
     def test_word_132_drops_middle_box(self):
         T = Filling.from_word((3,), (1, 3, 2))
         sub = subfilling(T, 2)
-        assert sub.boxes == {(1, 1): 1, (1, 3): 2}
+        assert sub.boxes() == {(1, 1): 1, (1, 3): 2}
         assert not sub.is_composition()
 
     def test_identity_at_top(self):
         T = Filling.from_word((2, 1), (1, 2, 3))
-        assert subfilling(T, 3).boxes == T.boxes()
+        assert subfilling(T, 3).boxes() == T.boxes()
 
     def test_three_row_example(self):
         T = Filling((2, 2, 2), ((1, 2), (3, 6), (4, 5)))
         sub = subfilling(T, 3)
-        assert sub.boxes == {(1, 1): 1, (1, 2): 2, (2, 1): 3}
+        assert sub.boxes() == {(1, 1): 1, (1, 2): 2, (2, 1): 3}
         assert sub.composition() == (2, 1)
 
     def test_gapped_subfilling(self):
@@ -424,7 +472,7 @@ class TestSubfillings:
         assert str(sub) == "12//3."
         assert sub == PartialFilling((2, 0, 2), (1, 2, 3, 0))
         assert sub != PartialFilling((2, 2), (1, 2, 3, 0))
-        assert sub.boxes == {(1, 1): 1, (1, 2): 2, (3, 1): 3}
+        assert sub.boxes() == {(1, 1): 1, (1, 2): 2, (3, 1): 3}
         assert sub.composition() == (2, 0, 1)
         assert subfilling(Filling.from_word((1, 1, 2), (1, 2, 3, 4)), 2).composition() == (1, 1)
 
@@ -459,7 +507,7 @@ class TestSubfillings:
                             for (a, b) in dimension_pairs_partial(h, subfilling(f, i))
                             if b == i
                         )
-                        assert partial_count == len(full.with_larger(i))
+                        assert partial_count == len({(a, b) for a, b in full if b == i})
 
     def test_placement_position_counts_pairs(self):
         # n sitting in the box with dimension-order i joins exactly i-1 pairs
@@ -469,8 +517,9 @@ class TestSubfillings:
                 order = dimension_ordering(shape)
                 for word in brute_permissible_words(h.values, shape):
                     f = Filling.from_word(shape, word)
-                    spot = order.index(f.position(n))
-                    assert len(dimension_pairs(h, f).with_larger(n)) == spot
+                    spot = order.index({v: rc for rc, v in f.boxes().items()}[n])
+                    pairs = dimension_pairs(h, f)
+                    assert len({(a, b) for a, b in pairs if b == n}) == spot
 
 
 class TestDimensionOrdering:
@@ -552,7 +601,7 @@ def test_phi_image_avoids_x1_randomized(values):
     h = make_hessenberg(values)
     n = h.n
     for f in enumerate_fillings(h, (n,)):
-        assert phi(h, f).exponent(1) == 0
+        assert phi(h, f)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -565,7 +614,6 @@ def test_phi_image_avoids_x1_randomized(values):
         lambda: Polynomial.from_json([{"exps": [1, 0.5], "coef": 1}]),
         lambda: Polynomial.from_json([{"exps": [1, 0], "coef": 1.5}]),
         lambda: Polynomial(2, {(1.5, 0): 1}),
-        lambda: DimensionPairSet([(1.5, 2.7)]),
         lambda: modified_complete_symmetric(2, [1.5, 2], 3),
     ],
     ids=[
@@ -576,7 +624,6 @@ def test_phi_image_avoids_x1_randomized(values):
         "poly-exponent",
         "poly-coefficient",
         "poly-key",
-        "pair-entry",
         "variable-index",
     ],
 )

@@ -78,7 +78,7 @@ class TestIdealGenerators:
     def test_2_3_3_degrees_and_variable_counts(self):
         # beta (by i) is (1,2,2); generator i uses variables x_i..x_n
         gens = jh_generators(make_hessenberg((2, 3, 3)))
-        assert [g.degree() for g in gens] == [2, 2, 1]
+        assert [max(map(sum, g.terms)) for g in gens] == [2, 2, 1]
         assert [sum(1 for e in g.leading()[0] if True) for g in gens] == [3, 3, 3]
         used = [
             {i + 1 for exps in g.terms for i, e in enumerate(exps) if e} for g in gens
@@ -105,7 +105,7 @@ class TestLeadingTermAndArithmetic:
 
     def test_zero_has_no_leading_term(self):
         with pytest.raises(ZeroPolynomial):
-            leading_term(Polynomial.zero(3))
+            leading_term(Polynomial(3))
 
     def test_add_cancels(self):
         e1 = modified_complete_symmetric(1, [4], 4)
@@ -167,7 +167,7 @@ class TestSPolynomialAndGroebner:
     def test_s_polynomial_cancels_leading_terms(self, h334):
         G = jh_generators(h334)
         s = s_polynomial(G[1], G[2])
-        lead_lcm = Monomial.parse("x3^3", 4).lcm(Monomial.parse("x2^2", 4))
+        lead_lcm = Monomial.parse("x2^2*x3^3", 4)  # lcm of the leading monomials
         assert leading_term(s)[0] < lead_lcm
 
     def test_worked_example_pairs_reduce_to_zero(self, h334):
@@ -251,7 +251,7 @@ class TestSPolynomialAndGroebner:
 
     def test_rejects_zero_member(self):
         with pytest.raises(ValueError):
-            is_groebner([Polynomial.zero(2)])
+            is_groebner([Polynomial(2)])
 
     def test_sweep_small_n(self):
         for n in range(1, 6):
@@ -268,7 +268,7 @@ class TestStandardMonomials:
         assert standard_monomials(jh_generators(h334)) == expected
 
     def test_pure_variables_leave_only_one(self):
-        G = [Polynomial.variable(3, i) for i in (1, 2, 3)]
+        G = [Polynomial.from_monomial(Monomial.variable(3, i)) for i in (1, 2, 3)]
         assert standard_monomials(G) == {Monomial.one(3)}
 
     def test_2_3_3_staircase(self):

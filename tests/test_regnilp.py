@@ -91,7 +91,7 @@ class TestHTree:
             if not node.children or node.level > h334.n - 1:
                 continue
             i = node.level + 1
-            exps = [child.edge.exponent(i) for child in node.children]
+            exps = [child.edge[i - 1] for child in node.children]
             assert exps == list(range(len(exps) - 1, -1, -1))
 
 

@@ -66,7 +66,7 @@ class TestGpTree:
     def test_edge_exponents_ascend_left_to_right(self):
         tree = build_gp_tree((2, 2))
         for node in tree.iter_nodes():
-            exps = [child.edge.exponent(node.level) for child in node.children]
+            exps = [child.edge[node.level - 1] for child in node.children]
             assert exps == list(range(len(exps)))
 
     def test_rejects_non_partition(self):
@@ -125,7 +125,7 @@ class TestModifiedGpTree:
             if node.level in (4, "B") or isinstance(node.payload, Monomial):
                 continue
             state = node.payload
-            filled = state.boxes() if isinstance(state, Filling) else state.boxes
+            filled = state.boxes()
             leaf_fill = node
             while leaf_fill.level != 0:
                 leaf_fill = leaf_fill.children[0]
@@ -172,8 +172,8 @@ class TestBasis:
         basis = garsia_procesi_basis((1,) * n)
         assert len(basis) == factorial(n)
         for m in basis:
-            assert m.exponent(1) == 0
-            assert all(m.exponent(i) <= i - 1 for i in range(1, n + 1))
+            assert m[0] == 0
+            assert all(m[i - 1] <= i - 1 for i in range(1, n + 1))
 
     def test_cardinality_is_multinomial(self):
         for n in range(1, 7):
@@ -195,7 +195,7 @@ class TestBasis:
             s = len(mu)
             n = sum(mu)
             for m in garsia_procesi_basis(mu):
-                assert all(m.exponent(i) <= min(i, s) - 1 for i in range(1, n + 1))
+                assert all(m[i - 1] <= min(i, s) - 1 for i in range(1, n + 1))
 
 
 class TestRowStrictEnumeration:
