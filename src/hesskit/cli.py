@@ -9,8 +9,10 @@ enumeration size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from math import prod
 
 from . import core, polyalg, regnilp, springer
 from .core import Filling, HessenbergFunction, Monomial, NotInBasis, SizeLimitExceeded
@@ -198,19 +200,28 @@ def cmd_verify(args) -> int:
         )
     n = args.all_n
     core._check_cap(n, args.max_n, "identity sweep")
-    checked = 0
+    checked = words = 0
     failures = []
     for h in core.hessenberg_functions(n):
         checked += 1
         record = _verify_record(h, args.max_n)
+        words += record["fillings"]
         multisets_equal = sorted(core.nu_tuple(h)) == sorted(core.degree_tuple(h))
         if not (record["ok"] and multisets_equal):
             failures.append(record)
+    # a closed form for the whole sweep: all one-row words number (2n-1)!!
+    if words != (expected := prod(range(1, 2 * n, 2))):
+        failures.append({"word_total": words, "expected": expected})
     return _print(
         args,
         lambda: {"checked": checked, "failures": failures},
         lambda: [
-            *(f"FAIL {json.dumps(record, sort_keys=True)}" for record in failures),
+            *(
+                f"FAIL word total {words}, expected (2n-1)!! = {expected}"
+                if "word_total" in record
+                else f"FAIL {json.dumps(record, sort_keys=True)}"
+                for record in failures
+            ),
             f"{checked} functions checked, {len(failures)} failures",
         ],
     )
@@ -282,9 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for the
+    process: ``parse_args`` reads argv into a fresh namespace each time and
+    leaves the parser as it was, so repeated in-process calls share one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # the typed input errors are ValueErrors too

@@ -661,9 +661,10 @@ def _words(h: HessenbergFunction, shape: tuple[int, ...]) -> list[tuple[int, ...
     def extend(word: tuple[int, ...], free: int) -> None:
         p = len(word)
         if p == last:
-            v = free.bit_length() - 1
-            if not joined[p] or word[-1] <= hv[v - 1]:
-                out.append(word + (v,))
+            # the one free value u needs no test: if its row goes on from
+            # a = word[-1], the r = 1 prune kept a only with u >= m(a), and
+            # since h is nondecreasing that is exactly a <= h(u)
+            out.append(word + (free.bit_length() - 1,))
             return
         r = rest[p]
         reach = above[r]

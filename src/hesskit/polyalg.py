@@ -240,13 +240,14 @@ def modified_complete_symmetric(r: int, variables: Iterable[int], n: int) -> Pol
         raise ValueError(f"variable indices {indices} out of range for n={n}")
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    terms: dict[_Exps, int] = {}
+    # the inputs are checked above, so the terms go in unchecked, as in __add__
+    result = Polynomial(n)
     for combo in combinations_with_replacement(indices, r):
         exps = [0] * n
         for i in combo:
             exps[i - 1] += 1
-        terms[tuple(exps)] = 1
-    return Polynomial(n, terms)
+        result.terms[tuple(exps)] = 1
+    return result
 
 
 def jh_generators(h: HessenbergFunction) -> list[Polynomial]:
@@ -373,8 +374,7 @@ def standard_monomials(basis: Sequence[Polynomial]) -> set[Monomial]:
         raise InfiniteStaircase(
             f"no pure-power leading term for {', '.join(missing)}"
         )
-    return {
-        Monomial(exps)
-        for exps in product(*(range(b) for b in bounds))
-        if not any(all(a >= b for a, b in zip(exps, lt)) for lt in cutters)
-    }
+    box = product(*(range(b) for b in bounds))
+    if cutters:
+        box = (e for e in box if not any(all(a >= b for a, b in zip(e, lt)) for lt in cutters))
+    return set(map(Monomial, box))

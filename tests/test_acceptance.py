@@ -9,8 +9,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they print.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import time
 from contextlib import contextmanager
 from math import factorial, prod
@@ -47,6 +49,7 @@ from hesskit.polyalg import groebner_failures
 from hesskit.regnilp import iter_words
 
 from conftest import springer_h
+import oracles
 from oracles import fast_a_equals_b, fast_filling_count, partitions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -263,10 +266,53 @@ def test_criterion_10_tree_oracle_equivalence():
                 assert level0 == brute
 
 
+def _perfbench_names() -> tuple[list[str], list[tuple[str, str]]]:
+    """The names the benchmark scripts import ``from oracles``, and the
+    (hesskit module, attribute) pairs they import or call, read from their
+    source with ``ast``."""
+    oracle_names, library_names = [], []
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> hesskit module name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                oracle_names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hesskit"):
+                for alias in node.names:
+                    target = getattr(importlib.import_module(node.module), alias.name, None)
+                    if inspect.ismodule(target):
+                        modules[alias.asname or alias.name] = target.__name__
+                    else:
+                        library_names.append((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    library_names.append((modules[node.value.id], node.attr))
+    return oracle_names, library_names
+
+
 def test_traced_names_and_exports_resolve():
-    """Every (module, attribute) the benchmark's tracer wraps, and every name
-    in ``hesskit.__all__``, exists: the tracer looks each one up, so one
-    deleted name breaks every traced benchmark run."""
+    """Every (module, attribute) the benchmark's tracer wraps, every name in
+    ``hesskit.__all__``, and every oracle or library name the benchmark
+    scripts import or call exists: the benchmark looks each one up, so one
+    deleted name breaks every benchmark run."""
+    oracle_names, library_names = _perfbench_names()
+    assert {"brute_pairs", "brute_permissible_words", "partitions"} <= set(oracle_names)
+    assert [name for name in oracle_names if not callable(getattr(oracles, name, None))] == []
+    assert {
+        ("hesskit.regnilp", "b_h_basis"),
+        ("hesskit.polyalg", "jh_generators"),
+        ("hesskit.polyalg", "is_groebner"),
+        ("hesskit.polyalg", "standard_monomials"),
+        ("hesskit.regnilp", "psi_h"),
+        ("hesskit.springer", "psi"),
+        ("hesskit.cli", "main"),
+    } <= set(library_names)
+    missing = [(m, a) for m, a in library_names if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+    # perfbench/run.py times this in a source string that ast does not see
+    assert callable(importlib.import_module("hesskit.cli").build_parser)
+
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)

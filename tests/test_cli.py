@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hesskit
-from hesskit import Filling, Monomial, Polynomial, regnilp
+from hesskit import Filling, Monomial, Polynomial, cli, regnilp
 from hesskit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,6 +242,65 @@ class TestJsonOutputs:
             assert out.splitlines()[-1] == "5 functions checked, 1 failures"
             failures = [json.loads(line[len("FAIL "):]) for line in out.splitlines()[:-1]]
         assert [(f["h"], f["leaves"], f["ok"]) for f in failures] == [([2, 3, 3], 5, False)]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_verify_sweep_checks_the_word_total(self, capsys, monkeypatch, fmt):
+        counts = regnilp.verify_counts
+
+        def overcounted(h, max_n=None):  # every identity holds, the total is off by one
+            report = counts(h, max_n=max_n)
+            if h.values == (2, 3, 3):
+                report.fillings = report.leaves = report.prod_nu = report.prod_beta = 5
+            return report
+
+        monkeypatch.setattr(regnilp, "verify_counts", overcounted)
+        _, out, _ = run_cli(capsys, "verify", "--all-n", "3", "--format", fmt)
+        if fmt == "json":
+            assert json.loads(out)["failures"] == [{"word_total": 16, "expected": 15}]
+        else:
+            assert out.splitlines() == [
+                "FAIL word total 16, expected (2n-1)!! = 15",
+                "5 functions checked, 1 failures",
+            ]
+
+
+class TestCachedParser:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    BETTI = ("betti", "--h", "2,3,3", "--mu", "3")
+
+    def test_an_option_does_not_stick(self, capsys):
+        assert run_cli(capsys, *self.BETTI, "--max-n", "2")[0] == 3
+        assert run_cli(capsys, *self.BETTI)[:2] == (0, "1,2,1\n1 + 2*t^2 + t^4\n")
+
+    def test_an_argparse_error_does_not_stick(self, capsys):
+        code, out, err = run_cli(capsys, "betti", "--h", "2,3,3", "--mu", "x")
+        assert (code, out) == (2, "")
+        assert "--mu" in err
+        assert run_cli(capsys, *self.BETTI)[:2] == (0, "1,2,1\n1 + 2*t^2 + t^4\n")
+
+    def test_the_cap_variable_is_read_per_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("HESSKIT_MAX_N", "2")
+        assert run_cli(capsys, *self.BETTI)[0] == 3
+        monkeypatch.setenv("HESSKIT_MAX_N", "3")
+        assert run_cli(capsys, *self.BETTI)[0] == 0
+
+    def test_one_build_for_many_calls(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, *self.BETTI)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
 
 
 class TestExitCodes:

@@ -55,6 +55,19 @@ def staircase_series(beta) -> tuple[int, ...]:
     return tuple(coefficients)
 
 
+def assert_row_order_is_free(n: int, cases: int, rng: random.Random) -> None:
+    """Betti numbers of random (h, mu) at size n equal those of mu with its
+    rows shuffled into another order."""
+    functions = list(hessenberg_functions(n))
+    shapes = [mu for mu in partitions(n) if len(set(mu)) > 1]
+    for _ in range(cases):
+        h, mu = rng.choice(functions), rng.choice(shapes)
+        rows = list(mu)
+        while tuple(rows) == mu:
+            rng.shuffle(rows)
+        assert betti_numbers(h, rows) == betti_numbers(h, mu), (h, mu, rows)
+
+
 def hess_values(max_n=7):
     """Hypothesis strategy producing valid Hessenberg value tuples."""
 
@@ -405,15 +418,20 @@ class TestEnumerationAndBetti:
     def test_betti_numbers_ignore_row_order(self):
         """The variety depends on the nilpotent's Jordan type only, not on
         the order of its blocks: a seeded sample at n = 7."""
-        rng = random.Random(12)
-        functions = list(hessenberg_functions(7))
-        shapes = [mu for mu in partitions(7) if len(set(mu)) > 1]
-        for _ in range(40):
-            h, mu = rng.choice(functions), rng.choice(shapes)
-            rows = list(mu)
-            while tuple(rows) == mu:
-                rng.shuffle(rows)
-            assert betti_numbers(h, rows) == betti_numbers(h, mu), (h, mu, rows)
+        assert_row_order_is_free(7, 40, random.Random(12))
+
+    # The next two tests took 0.9 s and 0.65 s (Python 3.11.7, 2-core VM):
+    # 0.4 s for the partitions of 7, 0.25 s for each shape at n = 8 (8!
+    # fillings), and about 0.08 s for each reordering at n = 8.
+
+    def test_maximal_h_gives_mahonian_numbers_at_n_7_and_8(self):
+        for n, shapes in [(7, list(partitions(7))), (8, [(5, 3), (2, 2, 2, 1, 1)])]:
+            h = make_hessenberg((n,) * n)
+            for shape in shapes:
+                assert betti_numbers(h, shape) == staircase_series(range(1, n + 1)), shape
+
+    def test_betti_numbers_ignore_row_order_at_n_8(self):
+        assert_row_order_is_free(8, 8, random.Random(8))
 
     def test_betti_sums_to_filling_count(self):
         for h in hessenberg_functions(4):

@@ -85,6 +85,13 @@ class TestIdealGenerators:
         ]
         assert used == [{3}, {2, 3}, {1, 2, 3}]
 
+    def test_generators_equal_their_parsed_text(self):
+        # the generators are built without the per-term checks of Polynomial()
+        for n in range(1, 7):
+            for h in hessenberg_functions(n):
+                for g in jh_generators(h):
+                    assert g.terms == Polynomial.parse(str(g), n).terms
+
     def test_leading_terms_are_pure_powers(self):
         for n in range(1, 9):
             for h in hessenberg_functions(n):
@@ -290,7 +297,9 @@ class TestStandardMonomials:
         assert len(sm) == prod(degree_tuple(h))
 
     def test_mixed_leading_term_cuts_the_box(self):
-        G = [P("x1^2", 2), P("x2^2", 2), P("x1*x2", 2)]
+        box = [P("x1^2", 2), P("x2^2", 2)]
+        assert standard_monomials(box) == {Monomial.parse(t, 2) for t in ["1", "x1", "x2", "x1*x2"]}
+        G = [*box, P("x1*x2", 2)]
         assert standard_monomials(G) == {Monomial.parse(t, 2) for t in ["1", "x1", "x2"]}
 
     def test_constant_leading_term_empties_the_box(self):
@@ -340,6 +349,8 @@ class TestSerialization:
     def test_negative_exponents_are_refused(self):
         with pytest.raises(ValueError, match="negative exponent"):
             Polynomial(2, {(0, -2): 3})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(-1, 0): 1})
         with pytest.raises(ValueError, match="negative exponent"):
             Polynomial.from_json([{"exps": [-1, 0], "coef": 1}])
 

@@ -6,6 +6,7 @@ import pytest
 
 from hesskit import (
     Filling,
+    HesskitError,
     Monomial,
     NotInBasis,
     b_h_basis,
@@ -272,6 +273,21 @@ class TestVerifyCounts:
         assert report.fillings == report.leaves == report.prod_beta == 6
         assert not report.a_equals_b
         assert not report.ok()
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_a_wrong_slot_count_is_caught_at_every_level(self, h334, monkeypatch, level):
+        """The leaf count checks each word's slots against beta_i, the last
+        level it reaches (n - 1) included: here one word of the level, the
+        decreasing one, loses a slot."""
+        real = regnilp._bullets
+
+        def short(h_values, word, i):
+            slots = real(h_values, word, i)
+            return slots[1:] if word == tuple(range(level, 0, -1)) else slots
+
+        monkeypatch.setattr(regnilp, "_bullets", short)
+        with pytest.raises(HesskitError, match="slots for i="):
+            verify_counts(h334)
 
     def test_keys_decode_to_phi_of_every_word(self):
         """The fused walk's keys are the base-n encodings of the exponent
