@@ -1,9 +1,9 @@
 """Command-line interface.
 
 One subcommand per library operation, with plain text, JSON, or DOT output.
-Exit codes: 0 success, 2 invalid input, 3 size cap exceeded, 4 monomial not
-in basis.  The environment variable HESSKIT_MAX_N (or --max-n) overrides the
-enumeration size cap.
+Exit codes: 0 success, 1 output pipe closed early, 2 invalid input, 3 size
+cap exceeded, 4 monomial not in basis.  The environment variable
+HESSKIT_MAX_N (or --max-n) overrides the enumeration size cap.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from math import prod
 
@@ -18,6 +19,7 @@ from . import core, polyalg, regnilp, springer
 from .core import Filling, HessenbergFunction, Monomial, NotInBasis, SizeLimitExceeded
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_NOT_IN_BASIS = 4
@@ -67,6 +69,7 @@ def _print(args, as_json, lines) -> int:
     else:
         for line in lines():
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
     return EXIT_OK
 
 
@@ -305,6 +308,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # Python's signal docs on SIGPIPE: no second raise at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except ValueError as exc:  # the typed input errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SizeLimitExceeded):

@@ -9,8 +9,9 @@ the ideal built in :mod:`hesskit.polyalg`, paired with the filling above it.
 That insertion is the tree's one step function (see :mod:`hesskit.trees`):
 a word at level i-1 has a child for each slot of i, on the edge x_i^e for
 slot e+1 counted right to left.  The h-tree and the h-tableau-tree are built
-from it, :func:`iter_words` streams its leaves, and :func:`psi_h` descends
-it along the path whose exponents are the monomial's.
+from it, :func:`iter_words` reads the leaves of the latter, and
+:func:`psi_h` descends it along the path whose exponents are the
+monomial's.
 
 :func:`verify_counts` checks the paper's counting identities with two
 independent walks.  An adjacency walk on the prune tables of
@@ -37,7 +38,7 @@ from .core import (
     degree_tuple,
     nu_tuple,
 )
-from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
+from .trees import LabeledTree, _build_tree, _descend
 
 
 def h_permissible_positions(h: HessenbergFunction, word: Sequence[int]) -> list[int]:
@@ -93,11 +94,6 @@ def _h_step(h: HessenbergFunction):
     return step
 
 
-def iter_words(h: HessenbergFunction) -> Iterator[tuple[tuple[int, ...], Monomial]]:
-    """Stream (word, monomial) pairs of the h-tableau-tree leaves, left to right."""
-    yield from _iter_leaves(h.n, 1, (1,), _h_step(h))
-
-
 def _h_tree(h: HessenbergFunction, max_n: int | None, kind: str, payload) -> LabeledTree:
     n = h.n
     _check_cap(n, max_n, "tree construction")
@@ -133,6 +129,15 @@ def level_n_fillings(tree: LabeledTree) -> list[Filling]:
     if tree.kind != "h-tableau":
         raise ValueError(f"tree of kind {tree.kind!r} carries no fillings")
     return [node.payload for node in tree.level(tree.n)]
+
+
+def iter_words(h: HessenbergFunction) -> Iterator[tuple[tuple[int, ...], Monomial]]:
+    """(word, monomial) at each leaf of the h-tableau-tree, left to right, read
+    off :func:`build_h_tableau_tree`: above the size cap it raises
+    SizeLimitExceeded before it builds anything."""
+    tree = build_h_tableau_tree(h)
+    for filling, mono in zip(level_n_fillings(tree), tree.leaf_monomials()):
+        yield filling.word, mono
 
 
 def b_h_basis(h: HessenbergFunction) -> set[Monomial]:
@@ -220,8 +225,9 @@ def _image_keys(h: HessenbergFunction) -> list[int]:
     def extend(p: int, a: int, free: int, key: int) -> None:
         # p boxes are filled, the last one with a (0 before the first)
         if p == last:
-            if (k := closing[a][free.bit_length() - 1]) is not None:
-                keys.append(key + k)
+            # no test: the r = 1 prune kept a only with the one free value u >= m(a),
+            # that is a <= h(u); a None read by mistake raises, not drops the word
+            keys.append(key + closing[a][free.bit_length() - 1])
             return
         r = last - p
         reach = above[r]

@@ -10,10 +10,10 @@ monomial with the row-strict filling that maps to it.
 
 Each tree is one step function (see :mod:`hesskit.trees`): from a state
 with i boxes left, the edge x_i^j takes the box with dimension-order j+1.
-The box-deleting step builds the GP-tree and streams its leaves for
-:func:`garsia_procesi_basis`; the box-filling step builds the modified tree,
-and :func:`psi` descends it along the path whose exponents are the
-monomial's.
+The box-deleting step builds the GP-tree, and :func:`garsia_procesi_basis`
+runs it as the Garsia-Procesi recursion, once per shape; the box-filling
+step builds the modified tree, and :func:`psi` descends it along the path
+whose exponents are the monomial's.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from math import factorial, prod
 from .core import (
     Filling,
     HessenbergFunction,
-    HesskitError,
     Monomial,
     PartialFilling,
     _check_cap,
@@ -33,7 +32,7 @@ from .core import (
     dimension_ordering,
     enumerate_fillings,
 )
-from .trees import LabeledTree, _build_tree, _descend, _iter_leaves
+from .trees import LabeledTree, _build_tree, _descend
 
 
 def _gp_step(level: int, shape: tuple[int, ...]):
@@ -109,25 +108,28 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
 
 
-def iter_basis_monomials(mu: Sequence[int]) -> Iterator[Monomial]:
-    """Stream the leaf monomials of the GP-tree without materializing it."""
+def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Monomial]:
+    """The n!/prod(mu_i!) leaf labels of the GP-tree, by the recursion it unfolds:
+    B(mu) is the disjoint union over j of x_n^j * B(the child on the edge x_n^j).
+    A subtree depends only on its shape, so each call lists a shape's leaves once."""
     mu = check_partition(mu)
     n = sum(mu)
-    return (mono for _shape, mono in _iter_leaves(n, n, mu, _gp_step))
+    _check_cap(n, max_n, "basis enumeration")
+    memo: dict = {}  # shape below the root -> list(leaves(level, shape))
 
+    def leaves(level: int, shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # the exponents of x_1 .. x_level at the leaves below shape
+        if (branch := _gp_step(level, shape)) is None:
+            yield (0,) * level
+            return
+        _var, exponents, level, child = branch
+        for e in exponents:
+            if (below := child(e)) not in memo:
+                memo[below] = list(leaves(level, below))
+            for exps in memo[below]:
+                yield exps + (e,)
 
-def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Monomial]:
-    """Leaf labels of the GP-tree; there are n!/prod(mu_i!) distinct monomials."""
-    mu = check_partition(mu)
-    _check_cap(sum(mu), max_n, "basis enumeration")
-    basis: set[Monomial] = set()
-    count = 0
-    for mono in iter_basis_monomials(mu):
-        basis.add(mono)
-        count += 1
-    if len(basis) != count:
-        raise HesskitError(f"GP-tree for {mu} produced a repeated leaf monomial")
-    return basis
+    return set(map(Monomial, leaves(n, mu)))
 
 
 def tree_path_count(mu: Sequence[int]) -> int:

@@ -11,10 +11,10 @@ child)``: ``exponents`` is the range of edge exponents left to right, and
 ``child(e)`` builds the one state at the end of the edge ``x_variable^e``.
 So all edges between two levels set the same variable, and no variable is
 set twice on a path.  A leaf's basis monomial is the product of the edge
-labels on its path.  Three helpers drive a step function: :func:`_build_tree`
-materializes the tree, :func:`_iter_leaves` streams its leaves without
-building it, and :func:`_descend` follows the one path that spells a given
-monomial, building one state per level, which is how the inverse maps work.
+labels on its path.  Two helpers drive a step function: :func:`_build_tree`
+materializes the tree, and :func:`_descend` follows the one path that
+spells a given monomial, building one state per level, which is how the
+inverse maps work.
 """
 
 from __future__ import annotations
@@ -175,22 +175,6 @@ def _build_tree(
     root = TreeNode("r", level, payload(level, state), None)
     grow(root, level, state)
     return LabeledTree(kind, n, root, levels)
-
-
-def _iter_leaves(n: int, level, state, step: Step) -> Iterator[tuple[object, Monomial]]:
-    """Stream ``(leaf state, path monomial)`` left to right without building the tree."""
-    exps = [0] * n
-    stack = [(None, 0, level, state)]  # the root has no edge
-    while stack:
-        var, e, level, state = stack.pop()
-        if var:
-            exps[var - 1] = e  # the variables below this edge are all set again
-        branch = step(level, state)
-        if branch is None:
-            yield state, Monomial(exps)
-        else:
-            var, exponents, level, child = branch
-            stack += [(var, e, level, child(e)) for e in reversed(exponents)]
 
 
 def _descend(level, state, step: Step, monomial: Sequence[int], basis: Callable[[], str]):

@@ -463,18 +463,40 @@ def test_readme_states_every_checked_output():
         assert any(line.startswith(command) for line in lines)
 
 
-def test_module_entry_point():
-    # the child process finds the package where this one imported it from
+def child_env() -> dict:
+    """The environment of a child process that finds the package where this
+    one imported it from."""
     src_root = str(Path(hesskit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "hesskit.cli", "betti", "--h", "1,3,3", "--mu", "2,1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "1,2,1"
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_closed_pipe_exits_1_quietly(fmt):
+    # about 1 MB of output in either format, far more than a pipe holds
+    argv = ["tree", "--kind", "gp", "--mu", "2,2,2,1,1", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "hesskit.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as child:
+        assert child.stdout.readline(100)  # a reader that stops, as `| head -1` does
+        child.stdout.close()
+        err = child.stderr.read()
+    assert child.returncode == 1
+    assert err == b""
 
 
 # A small grammar of argv for every subcommand: lists of at most 5 entries

@@ -9,6 +9,7 @@ from hesskit import (
     HesskitError,
     Monomial,
     NotInBasis,
+    SizeLimitExceeded,
     b_h_basis,
     build_h_tableau_tree,
     build_h_tree,
@@ -146,6 +147,12 @@ class TestHTableauTree:
             assert len(words) == len(fillings)
             brute = {f.word for f in enumerate_fillings(h, (5,))}
             assert words == brute
+
+    def test_iter_words_is_capped_before_building(self, monkeypatch):
+        monkeypatch.delenv("HESSKIT_MAX_N", raising=False)
+        monkeypatch.setattr(regnilp, "_build_tree", lambda *args: pytest.fail("tree built"))
+        with pytest.raises(SizeLimitExceeded):
+            list(iter_words(make_hessenberg((10,) * 10)))
 
     def test_phi_pairs_each_filling_with_its_leaf(self):
         for h in hessenberg_functions(5):

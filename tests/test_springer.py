@@ -23,7 +23,7 @@ from hesskit import (
     psi,
 )
 from hesskit.cli import main
-from hesskit.springer import iter_basis_monomials, tree_path_count
+from hesskit.springer import tree_path_count
 
 from conftest import springer_h
 from oracles import partitions, springer_hilbert_series
@@ -176,11 +176,12 @@ class TestBasis:
             assert all(m[i - 1] <= i - 1 for i in range(1, n + 1))
 
     def test_cardinality_is_multinomial(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for mu in partitions(n):
-                count = sum(1 for _ in iter_basis_monomials(mu))
+                tree = build_gp_tree(mu)
                 basis = garsia_procesi_basis(mu)
-                assert count == len(basis) == tree_path_count(mu)
+                assert basis == set(tree.leaf_monomials())
+                assert len(basis) == tree.path_count() == tree_path_count(mu)
 
     def test_gp_and_modified_trees_agree(self):
         for mu in [(2, 2), (3, 2), (2, 2, 1), (4, 1)]:

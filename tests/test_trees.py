@@ -84,3 +84,21 @@ def test_psi_builds_one_state_per_level(monkeypatch):
             calls.clear()
             psi(mu, m)
             assert len(calls) == n
+
+
+def test_garsia_procesi_basis_steps_once_per_shape(monkeypatch):
+    shapes: list = []
+    step = springer._gp_step
+    monkeypatch.setattr(
+        springer, "_gp_step", lambda level, shape: shapes.append(shape) or step(level, shape)
+    )
+    for n in range(1, 8):
+        for mu in partitions(n):
+            tree = build_gp_tree(mu)  # a leaf holds its monomial, not its shape (1,)
+            in_tree = {v.payload for v in tree.iter_nodes() if v.children} | {(1,)}
+            shapes.clear()
+            garsia_procesi_basis(mu)
+            assert sorted(shapes) == sorted(in_tree)
+    shapes.clear()
+    garsia_procesi_basis((2, 2, 2, 1, 1))
+    assert len(shapes) == 17
