@@ -264,13 +264,11 @@ class Monomial(tuple):
         return Monomial(a + b for a, b in zip(self, other, strict=True))
 
     def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e:  # negative only in a monomial built unchecked
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
+        factors = _factor_texts(len(self))
+        # a negative exponent comes only from a monomial built unchecked
+        return "*".join(
+            [f[e] if 0 < e < 10 else f"{f[1]}^{e}" for f, e in zip(factors, self) if e]
+        ) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)!r}, n={len(self)})"
@@ -294,6 +292,13 @@ class Monomial(tuple):
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Monomial":
         return cls.from_exponents(data)
+
+
+@cache
+def _factor_texts(n: int) -> tuple[tuple[str, ...], ...]:
+    """The text of x_i^e for e = 0 .. 9 ("" for 0), one tuple per variable
+    x_1 .. x_n: what :meth:`Monomial.__str__` reads.  Cached per n."""
+    return tuple(("", f"x{i}", *(f"x{i}^{e}" for e in range(2, 10))) for i in range(1, n + 1))
 
 
 def _parse_power(factor: str, n: int) -> tuple[int, int]:
@@ -456,14 +461,27 @@ class PartialFilling(_ShapeWord):
 def filling_text(shape: Sequence[int], word: Sequence[int]) -> str:
     """The text of a filling or partial filling: rows top to bottom joined by
     ``/``, ``.`` for an empty box (0), and ``,`` between the entries of a
-    row once the shape has more than 9 boxes."""
-    cells = map(str, word) if 0 not in word else [str(v) if v else "." for v in word]
-    sep = "," if len(word) > 9 else ""
+    row once the shape has more than 9 boxes.  Entries are 0 .. #boxes, as
+    in every filling and partial filling.  Cell texts come from a table per
+    word length, and a shape of several rows is printed through its layout,
+    a ``%s`` per box: both tables are cached."""
+    cells = _cell_texts(len(word))
     if len(shape) == 1:
-        return sep.join(cells)
-    cells = list(cells)
-    starts = accumulate(shape, initial=0)
-    return "/".join(sep.join(cells[s : s + length]) for s, length in zip(starts, shape))
+        return ("," if len(word) > 9 else "").join([cells[v] for v in word])
+    return _layout(tuple(shape)) % tuple([cells[v] for v in word])
+
+
+@cache
+def _cell_texts(n: int) -> tuple[str, ...]:
+    """The text of each entry 0 .. n of a word with n boxes, "." for 0."""
+    return (".", *map(str, range(1, n + 1)))
+
+
+@cache
+def _layout(shape: tuple[int, ...]) -> str:
+    """The format string of a shape's filling text, ``%s`` for each box."""
+    sep = "," if sum(shape) > 9 else ""
+    return "/".join(sep.join(["%s"] * length) for length in shape)
 
 
 def subfilling(filling: Filling, i: int) -> PartialFilling:
@@ -488,12 +506,20 @@ def dimension_ordering(shape: Sequence[int]) -> list[tuple[int, int]]:
     """Order the far-right boxes of a composition.
 
     One box per nonzero row, sorted by column from rightmost to leftmost,
-    top to bottom within a column.  Returns 1-based (row, col) coordinates.
+    top to bottom within a column.  Returns 1-based (row, col) coordinates,
+    as a fresh list.  The shape is checked here; the tree steps, whose
+    shapes are built valid, read the cached kernel :func:`_dimension_order`.
     """
-    shape = as_shape(shape)
+    return list(_dimension_order(as_shape(shape)))
+
+
+@cache
+def _dimension_order(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """:func:`dimension_ordering` of a valid composition, unchecked, as a
+    tuple: cached per shape, and immutable, so no caller can change it."""
     boxes = [(r, length) for r, length in enumerate(shape, start=1) if length > 0]
     boxes.sort(key=lambda rc: (-rc[1], rc[0]))
-    return boxes
+    return tuple(boxes)
 
 
 # ---------------------------------------------------------------------------

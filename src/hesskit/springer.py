@@ -18,7 +18,8 @@ whose exponents are the monomial's.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
+from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
@@ -28,8 +29,8 @@ from .core import (
     Monomial,
     PartialFilling,
     _check_cap,
+    _dimension_order,
     check_partition,
-    dimension_ordering,
     enumerate_fillings,
 )
 from .trees import LabeledTree, _build_tree, _descend
@@ -39,41 +40,53 @@ def _gp_step(level: int, shape: tuple[int, ...]):
     """The box-deleting step: the edge x_i^j deletes the box with dimension-order j+1."""
     if level <= 1:
         return None
-    order = dimension_ordering(shape)
+    below = _deletions(shape)
+    return level, range(len(below)), level - 1, below.__getitem__
 
-    def child(j: int) -> tuple[int, ...]:
+
+@cache
+def _deletions(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The shapes left by deleting each far-right box of a partition, in
+    dimension order.  Cached: a tree meets each shape many times."""
+    out = []
+    for row, _ in _dimension_order(shape):
         rows = list(shape)
-        rows[order[j][0] - 1] -= 1
+        rows[row - 1] -= 1
         # Deleting a far-right box can leave a column hanging below a shorter
         # row; pushing the column's boxes up restores weakly decreasing rows,
         # which is exactly the descending re-sort of the nonzero row lengths.
-        return tuple(sorted((r for r in rows if r > 0), reverse=True))
-
-    return level, range(len(order)), level - 1, child
+        out.append(tuple(sorted((r for r in rows if r > 0), reverse=True)))
+    return tuple(out)
 
 
 def _filling_step(mu: tuple[int, ...]):
-    """The box-filling step on row-reading words of mu, 0 marking an empty box:
-    the edge x_i^j writes i into the empty box with dimension-order j+1; the
+    """The box-filling step on states ``(word, empty)``: a row-reading word
+    of mu, 0 marking an empty box, and the count of empty boxes in each row.
+    The edge x_i^j writes i into the empty box with dimension-order j+1; the
     last value completes the filling.
 
     The empty boxes of each row stay flush left, so a row's empty-box count
-    is the column of its far-right empty box.
+    is the column of its far-right empty box, and the boxes to fill depend
+    on the counts alone: ``moves`` keeps them per count tuple, for this step.
     """
     starts = list(accumulate(mu, initial=0))
+    moves: dict = {}  # empty -> (word position, empty after it) per dimension order
 
-    def step(level: int, word: tuple[int, ...]):
+    def step(level: int, state: tuple[tuple[int, ...], tuple[int, ...]]):
         if level == 0:
             return None
-        remaining = [word[s : s + length].count(0) for s, length in zip(starts, mu)]
-        order = dimension_ordering(remaining)
+        word, empty = state
+        if (edges := moves.get(empty)) is None:
+            edges = moves[empty] = tuple(
+                (starts[row - 1] + col - 1, empty[: row - 1] + (col - 1,) + empty[row:])
+                for row, col in _dimension_order(empty)
+            )
 
         def child(j: int):
-            row, col = order[j]
-            p = starts[row - 1] + col - 1
-            return word[:p] + (level,) + word[p + 1 :]
+            p, below = edges[j]
+            return word[:p] + (level,) + word[p + 1 :], below
 
-        return level, range(len(order)), level - 1, child
+        return level, range(len(edges)), level - 1, child
 
     return step
 
@@ -103,33 +116,40 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     _check_cap(n, max_n, "modified GP-tree construction")
 
     def payload(level: int, state):
-        return PartialFilling._of(mu, state) if level else Filling._of(mu, state)
+        word = state[0]
+        return PartialFilling._of(mu, word) if level else Filling._of(mu, word)
 
-    return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
+    return _build_tree("modified-gp", n, n, ((0,) * n, mu), _filling_step(mu), payload, "B")
 
 
 def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Monomial]:
     """The n!/prod(mu_i!) leaf labels of the GP-tree, by the recursion it unfolds:
     B(mu) is the disjoint union over j of x_n^j * B(the child on the edge x_n^j).
-    A subtree depends only on its shape, so each call lists a shape's leaves once."""
+    A subtree depends only on its shape, so each distinct shape is stepped
+    once, level by level from the root, and its leaves are listed once, from
+    the bottom level up.  The root's leaves stream into the result."""
     mu = check_partition(mu)
     n = sum(mu)
     _check_cap(n, max_n, "basis enumeration")
-    memo: dict = {}  # shape below the root -> list(leaves(level, shape))
-
-    def leaves(level: int, shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # the exponents of x_1 .. x_level at the leaves below shape
-        if (branch := _gp_step(level, shape)) is None:
-            yield (0,) * level
-            return
-        _var, exponents, level, child = branch
-        for e in exponents:
-            if (below := child(e)) not in memo:
-                memo[below] = list(leaves(level, below))
-            for exps in memo[below]:
-                yield exps + (e,)
-
-    return set(map(Monomial, leaves(n, mu)))
+    children: dict = {}  # each distinct shape, top down -> its (e, child) pairs, None at a leaf
+    level, shapes = n, [mu]
+    while shapes:
+        lower: dict = {}  # the distinct shapes of the next level, as a set in order
+        for shape in shapes:
+            if (branch := _gp_step(level, shape)) is not None:
+                _var, exponents, _level, child = branch
+                branch = [(e, child(e)) for e in exponents]
+                lower.update(dict.fromkeys(c for _, c in branch))
+            children[shape] = branch
+        level, shapes = level - 1, list(lower)
+    leaves: dict = {}  # shape -> the exponents of x_1 .. x_level at the leaves below it
+    for shape, branch in reversed(children.items()):  # each shape after every shape below it
+        if branch is None:
+            leaves[shape] = [(0,)]  # the one box (1,), at level 1
+        else:
+            found = (exps + (e,) for e, below in branch for exps in leaves[below])
+            leaves[shape] = found if shape == mu else list(found)
+    return set(map(Monomial, leaves[mu]))
 
 
 def tree_path_count(mu: Sequence[int]) -> int:
@@ -159,5 +179,6 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     n = sum(mu)
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    word = _descend(n, (0,) * n, _filling_step(mu), monomial, lambda: f"the basis of shape {mu}")
+    state = ((0,) * n, mu)
+    word, _ = _descend(n, state, _filling_step(mu), monomial, lambda: f"the basis of shape {mu}")
     return Filling._of(mu, word)

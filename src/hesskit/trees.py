@@ -14,7 +14,15 @@ set twice on a path.  A leaf's basis monomial is the product of the edge
 labels on its path.  Two helpers drive a step function: :func:`_build_tree`
 materializes the tree, and :func:`_descend` follows the one path that
 spells a given monomial, building one state per level, which is how the
-inverse maps work.
+inverse maps work.  Both are loops, not recursions, so a tree may be as
+deep as its input allows.
+
+A tree has at most one distinct edge label per variable and exponent, so
+:func:`_build_tree` makes one Monomial for each and every edge that carries
+it shares it.  The exports follow suit: ``to_dot`` and ``to_json`` format
+each distinct edge label once per call, and render every vertex's label
+once, choosing the rendering once per level, since all payloads of a
+level have one type.
 """
 
 from __future__ import annotations
@@ -41,16 +49,13 @@ class TreeNode:
         return f"TreeNode({self.node_id!r}, level={self.level!r}, payload={self.payload!r})"
 
 
-def _render_payload(payload, kind: str = "") -> str:
-    if payload is None:
-        return "*"
-    if isinstance(payload, (Monomial, Filling)):
-        return str(payload)
-    if isinstance(payload, tuple) and payload and all(isinstance(v, int) for v in payload):
-        if kind == "h-tableau":  # partial words read like fillings, not shapes
-            return filling_text((len(payload),), payload)
-        return ",".join(str(v) for v in payload)
-    return str(payload)
+class _EdgeTexts(dict):
+    """Edge label -> its text, formatted on first use: a tree's edges share
+    their labels, so each distinct one is formatted once per export."""
+
+    def __missing__(self, edge: Monomial) -> str:
+        text = self[edge] = str(edge)
+        return text
 
 
 class LabeledTree:
@@ -89,6 +94,19 @@ class LabeledTree:
 
     # -- serialization ------------------------------------------------------
 
+    def _labels(self, nodes: list[TreeNode]) -> list[str]:
+        """The label text of each vertex of one level.  All payloads of a
+        level have one type, so the first one picks the rendering."""
+        payloads = [node.payload for node in nodes]
+        sample = payloads[0]
+        if sample is None:
+            return ["*"] * len(payloads)
+        if isinstance(sample, tuple) and not isinstance(sample, Monomial):
+            if self.kind == "h-tableau":  # partial words read like fillings, not shapes
+                return [filling_text((len(word),), word) for word in payloads]
+            return [",".join(map(str, shape)) for shape in payloads]
+        return list(map(str, payloads))
+
     def to_dot(self) -> str:
         lines = [
             f'digraph "{self.kind}" {{',
@@ -96,44 +114,48 @@ class LabeledTree:
             "  node [shape=box];",
         ]
         by_level = self.levels()
-        for key in self.level_keys:
-            for node in by_level[key]:
-                label = _render_payload(node.payload, self.kind)
-                lines.append(f'  "{node.node_id}" [label="{label}"];')
-        for key in self.level_keys:
-            for node in by_level[key]:
-                for child in node.children:
-                    lines.append(
-                        f'  "{node.node_id}" -> "{child.node_id}" [label="{child.edge}"];'
-                    )
-        for key in self.level_keys:
-            names = " ".join(f'"{node.node_id}";' for node in by_level[key])
+        for nodes in by_level.values():
+            lines += [
+                f'  "{node.node_id}" [label="{label}"];'
+                for node, label in zip(nodes, self._labels(nodes))
+            ]
+        edges = _EdgeTexts()
+        for nodes in by_level.values():
+            for node in nodes:
+                head = f'  "{node.node_id}" -> "'
+                lines += [
+                    f'{head}{child.node_id}" [label="{edges[child.edge]}"];'
+                    for child in node.children
+                ]
+        for nodes in by_level.values():
+            names = " ".join([f'"{node.node_id}";' for node in nodes])
             lines.append(f"  {{ rank=same; {names} }}")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        def encode(node: TreeNode) -> dict:
-            entry: dict = {
-                "id": node.node_id,
-                "level": node.level,
-                "label": _render_payload(node.payload, self.kind),
-            }
-            if node.edge is not None:
-                entry["edge"] = str(node.edge)
-            if isinstance(node.payload, Monomial):
-                entry["monomial"] = node.payload.to_json()
-            if isinstance(node.payload, Filling):
-                entry["filling"] = node.payload.to_json()
-            if node.children:
-                entry["children"] = [encode(c) for c in node.children]
-            return entry
-
+        """The tree as nested JSON objects, root first.  Levels are encoded
+        bottom up, so each vertex finds its children's entries made."""
+        entries: dict = {}  # vertex -> its entry
+        edges = _EdgeTexts()
+        for key in reversed(self.level_keys):
+            nodes = self._levels[key]
+            # the key of the payload's own JSON, for the levels that carry one
+            extra = {Monomial: "monomial", Filling: "filling"}.get(type(nodes[0].payload))
+            for node, label in zip(nodes, self._labels(nodes)):
+                entry: dict = {"id": node.node_id, "level": node.level, "label": label}
+                if node.edge is not None:
+                    entry["edge"] = edges[node.edge]
+                if extra:
+                    entry[extra] = node.payload.to_json()
+                if node.children:
+                    entry["children"] = [entries.pop(child) for child in node.children]
+                entries[node] = entry
         return {
             "kind": self.kind,
             "n": self.n,
             "levels": [str(k) for k in self.level_keys],
-            "root": encode(self.root),
+            "root": entries[self.root],
         }
 
 
@@ -147,33 +169,42 @@ def _build_tree(
 
     Every vertex carries ``payload(level, state)``.  At a leaf the path
     monomial replaces that payload or, given ``leaf_level``, hangs below it
-    as a vertex of its own on an edge labelled 1.  Vertices are grown in
-    preorder, so each level's list fills left to right.
+    as a vertex of its own on an edge labelled 1.  Vertices are visited in
+    preorder from a stack, so each level's list fills left to right, and
+    ``exps`` holds the exponents set on the path to the vertex visited.
+    The tree holds one Monomial per distinct edge label, shared by every
+    edge that carries it.
     """
     exps = [0] * n
     levels: dict = {}
-
-    def grow(node: TreeNode, level, state) -> None:
+    edges: dict = {}  # (variable, exponent) -> the label of every such edge
+    one = Monomial.one(n)
+    root = TreeNode("r", level, payload(level, state), None)
+    stack = [(root, state, 1, 0)]
+    while stack:
+        node, state, var, e = stack.pop()
+        exps[var - 1] = e  # the root sets exps[0] to 0, as it already is
+        level = node.level
         levels.setdefault(level, []).append(node)
         branch = step(level, state)
         if branch is None and leaf_level is None:
             node.payload = Monomial(exps)
         elif branch is None:
-            leaf = TreeNode(f"{node.node_id}.0", leaf_level, Monomial(exps), Monomial.one(n))
+            leaf = TreeNode(f"{node.node_id}.0", leaf_level, Monomial(exps), one)
             node.children.append(leaf)
             levels.setdefault(leaf_level, []).append(leaf)
         else:
             var, exponents, level, child = branch
+            prefix = node.node_id + "."
+            below = []
             for e in exponents:
-                exps[var - 1] = e
+                if (edge := edges.get((var, e))) is None:
+                    edge = edges[var, e] = Monomial.variable(n, var, e)
                 state = child(e)
-                edge = Monomial.variable(n, var, e)
-                below = TreeNode(f"{node.node_id}.{e}", level, payload(level, state), edge)
-                node.children.append(below)
-                grow(below, level, state)
-
-    root = TreeNode("r", level, payload(level, state), None)
-    grow(root, level, state)
+                vertex = TreeNode(f"{prefix}{e}", level, payload(level, state), edge)
+                below.append((vertex, state, var, e))
+            node.children = [item[0] for item in below]
+            stack += reversed(below)
     return LabeledTree(kind, n, root, levels)
 
 

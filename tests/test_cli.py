@@ -499,6 +499,56 @@ def test_closed_pipe_exits_1_quietly(fmt):
     assert err == b""
 
 
+ONE_ROW_600 = ",".join(map(str, range(1, 601)))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("tree --kind gp --mu 990 --max-n 990", 0),
+        ("tree --kind modified-gp --mu 990 --max-n 990", 0),
+        (f"tree --kind h-tableau --h {ONE_ROW_600} --max-n 600", 0),
+        ("basis --mu 1200 --max-n 1200", 0),
+        ("tree --kind gp --mu 990 --max-n 990 --format json", 3),
+        ("tree --kind gp --mu 600 --max-n 600 --format json", 3),
+        (f"tree --kind h --h {ONE_ROW_600} --max-n 600 --format json", 3),
+    ],
+    ids=["gp-dot", "modified-gp-dot", "h-tableau-dot", "basis", "gp-json", "gp-json-600", "h-json"],
+)
+def test_deep_one_path_trees(argv, code):
+    # each tree is one path of n levels: no recursion of n frames may remain
+    result = subprocess.run(
+        [sys.executable, "-m", "hesskit.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 3:
+        depth = 601 if "--h" in argv else int(argv.split()[4])
+        assert result.stderr == (
+            f"error: JSON of a tree of depth {depth} exceeds the nesting limit of "
+            f"{cli.JSON_MAX_LEVELS} levels\n"
+        )
+    elif argv.startswith("basis"):
+        assert result.stdout == "1\n"
+    else:
+        kind, n = argv.split()[2], int(argv.split()[-1])
+        # levels n..1, n..0 plus B, and 1..n plus n+1
+        edges = {"gp": n - 1, "modified-gp": n + 1, "h-tableau": n}[kind]
+        assert result.stdout.count(" -> ") == edges
+
+
+def test_json_at_the_nesting_limit(capsys):
+    # the deepest JSON tree the CLI writes: each level nests two containers,
+    # and the leaf's filling two more, all below this test runner's own frames
+    n = cli.JSON_MAX_LEVELS - 2  # a modified-GP tree has levels n..0 and B
+    argv = ["tree", "--kind", "modified-gp", "--mu", str(n), "--max-n", str(n)]
+    assert main([*argv, "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == cli.JSON_MAX_LEVELS
+
+
 # A small grammar of argv for every subcommand: lists of at most 5 entries
 # 0-6, mostly a valid h and a partition of its n, the occasional bad token,
 # optional --format and --max-n <= 6.

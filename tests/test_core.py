@@ -35,7 +35,7 @@ from hesskit import (
     phi,
     subfilling,
 )
-from hesskit.core import as_shape, phi_word, size_cap
+from hesskit.core import as_shape, filling_text, phi_word, size_cap
 
 from conftest import springer_h
 from oracles import brute_pairs, brute_permissible_words, compositions, partitions
@@ -569,6 +569,70 @@ class TestDimensionOrdering:
         )
         cols = [c for _, c in order]
         assert cols == sorted(cols, reverse=True)
+
+    @pytest.mark.parametrize("shape", [(2, -1), (2, 1.5), ("2", 1), (1, 1.0)])
+    def test_bad_rows_are_refused(self, shape):
+        with pytest.raises(ValueError):
+            dimension_ordering(shape)
+
+    def test_result_is_a_fresh_list(self):
+        order = dimension_ordering((2, 1, 2))
+        order.append((9, 9))
+        order[0] = None
+        assert dimension_ordering((2, 1, 2)) == [(1, 2), (3, 2), (2, 1)]
+
+
+def reference_filling_text(shape, word) -> str:
+    """filling_text as the docs state it, row by row."""
+    sep = "," if len(word) > 9 else ""
+    rows, start = [], 0
+    for length in shape:
+        rows.append(sep.join(str(v) if v else "." for v in word[start : start + length]))
+        start += length
+    return "/".join(rows)
+
+
+def reference_monomial_text(exps) -> str:
+    factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
+    return "*".join(factors) or "1"
+
+
+@st.composite
+def partial_fillings(draw):
+    """A composition with zero rows allowed, up to 24 boxes, and a word of
+    distinct values in 1..#boxes with some boxes empty (0)."""
+    shape = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    values = draw(st.permutations(range(1, sum(shape) + 1)))
+    empty = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return shape, tuple(0 if e else v for v, e in zip(values, empty))
+
+
+class TestTextHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_fillings())
+    def test_filling_text_matches_reference(self, case):
+        shape, word = case
+        assert filling_text(shape, word) == reference_filling_text(shape, word)
+        assert str(PartialFilling(shape, word)) == reference_filling_text(shape, word)
+        if 0 not in word:
+            assert str(Filling.from_word(shape, word)) == reference_filling_text(shape, word)
+
+    def test_filling_text_corner_shapes(self):
+        for shape in [(), (0,), (0, 0), (2, 0), (0, 2), (0, 0, 1), (1,) * 10, (10,), (9,)]:
+            word = tuple(range(1, sum(shape) + 1))
+            assert filling_text(shape, word) == reference_filling_text(shape, word)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2, 30), min_size=1, max_size=12))
+    def test_monomial_text_matches_reference(self, exps):
+        m = Monomial(exps)  # built unchecked, so negative exponents too
+        assert str(m) == reference_monomial_text(exps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=12))
+    def test_monomial_text_round_trip(self, exps):
+        m = Monomial(exps)
+        assert Monomial.parse(str(m), len(m)) == m
 
 
 class TestMonomialAndFillingSerialization:

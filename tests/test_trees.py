@@ -1,6 +1,7 @@
 """The step-function drivers: recorded levels and one-path descents."""
 
 from hesskit import (
+    Monomial,
     b_h_basis,
     build_gp_tree,
     build_h_tableau_tree,
@@ -10,6 +11,7 @@ from hesskit import (
     hessenberg_functions,
     psi,
     psi_h,
+    core,
     regnilp,
     springer,
 )
@@ -102,3 +104,45 @@ def test_garsia_procesi_basis_steps_once_per_shape(monkeypatch):
     shapes.clear()
     garsia_procesi_basis((2, 2, 2, 1, 1))
     assert len(shapes) == 17
+
+
+def edge_variable(tree, parent, child) -> int | None:
+    """The variable an edge sets, read off the step rules: the edge below a
+    GP-tree vertex at level i sets x_i, the edge into an h-tree vertex at
+    level i sets x_i, and the edge to a leaf of its own (level B, or n+1 in
+    the h-trees) sets none."""
+    if tree.kind in ("gp", "modified-gp"):
+        return None if child.level == "B" else parent.level
+    return None if child.level == tree.n + 1 else child.level
+
+
+def test_edges_are_shared_per_tree():
+    for tree in trees():
+        n = tree.n
+        dot_labels = {}  # child id -> the label of the edge into it, from the DOT text
+        for line in tree.to_dot().splitlines():
+            if " -> " in line:
+                parts = line.split('"')  # '  "a" -> "b" [label="x2"];'
+                dot_labels[parts[3]] = parts[5]
+        one_edge: dict = {}  # (variable, exponent) -> the first edge seen
+        for node in tree.iter_nodes():
+            for child in node.children:
+                var = edge_variable(tree, node, child)
+                e = int(child.node_id.rsplit(".", 1)[1])
+                expected = Monomial.one(n) if var is None else Monomial.variable(n, var, e)
+                assert child.edge == expected
+                assert one_edge.setdefault((var, e), child.edge) is child.edge
+                assert dot_labels[child.node_id] == str(child.edge)
+        assert len(dot_labels) == sum(len(v.children) for v in tree.iter_nodes())
+
+
+def test_tree_steps_do_not_recheck_shapes(monkeypatch):
+    calls: list = []
+    as_shape = core.as_shape
+    monkeypatch.setattr(core, "as_shape", lambda rows: calls.append(rows) or as_shape(rows))
+    mu = (2, 2, 2, 1, 1)
+    for build, vertices in ((build_gp_tree, 9419), (build_modified_gp_tree, 19499)):
+        calls.clear()
+        tree = build(mu)
+        assert sum(map(len, tree.levels().values())) == vertices
+        assert len(calls) == 1  # the check of mu, not one per vertex
