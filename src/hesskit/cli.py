@@ -2,9 +2,9 @@
 
 One subcommand per library operation, with plain text, JSON, or DOT output.
 Exit codes: 0 success, 1 output pipe closed early, 2 invalid input, 3 size
-cap exceeded (or a JSON tree deeper than JSON_MAX_LEVELS), 4 monomial not
-in basis.  The environment variable
-HESSKIT_MAX_N (or --max-n) overrides the enumeration size cap.
+cap exceeded (or a JSON tree nested too deeply to encode), 4 monomial not
+in basis.  The environment variable HESSKIT_MAX_N (or --max-n) overrides
+the enumeration size cap.
 """
 
 from __future__ import annotations
@@ -134,22 +134,17 @@ TREE_KINDS = {
 }
 
 
-# json's encoder recurses once per nested container, two per tree level and two
-# more for a leaf's filling: 400 levels nest at most 802, which leaves the
-# caller's own frames room below Python's default recursion limit of 1000
-JSON_MAX_LEVELS = 400
-
-
 def cmd_tree(args) -> int:
     option, build = TREE_KINDS[args.kind]
     if (value := getattr(args, option)) is None:
         raise ValueError(f"--kind {args.kind} requires --{option}")
     tree = build(value, args.max_n)
-    if args.format == "json" and (depth := len(tree.level_keys)) > JSON_MAX_LEVELS:
+    try:
+        return _print(args, tree.to_json, lambda: [tree.to_dot().removesuffix("\n")])
+    except RecursionError:  # json nests two containers per level, a frame each
         raise SizeLimitExceeded(
-            f"JSON of a tree of depth {depth} exceeds the nesting limit of {JSON_MAX_LEVELS} levels"
-        )
-    return _print(args, tree.to_json, lambda: [tree.to_dot().removesuffix("\n")])
+            f"JSON of a tree of depth {len(tree.level_keys)} nests too deeply to encode"
+        ) from None
 
 
 def cmd_ideal(args) -> int:

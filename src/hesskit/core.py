@@ -516,7 +516,9 @@ def dimension_ordering(shape: Sequence[int]) -> list[tuple[int, int]]:
 @cache
 def _dimension_order(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """:func:`dimension_ordering` of a valid composition, unchecked, as a
-    tuple: cached per shape, and immutable, so no caller can change it."""
+    tuple: cached per shape, and immutable, so no caller can change it.
+    A one-path walk meets each composition once and calls the uncached
+    ``_dimension_order.__wrapped__`` instead."""
     boxes = [(r, length) for r, length in enumerate(shape, start=1) if length > 0]
     boxes.sort(key=lambda rc: (-rc[1], rc[0]))
     return tuple(boxes)

@@ -19,7 +19,6 @@ whose exponents are the monomial's.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
@@ -40,53 +39,42 @@ def _gp_step(level: int, shape: tuple[int, ...]):
     """The box-deleting step: the edge x_i^j deletes the box with dimension-order j+1."""
     if level <= 1:
         return None
-    below = _deletions(shape)
-    return level, range(len(below)), level - 1, below.__getitem__
+    order = _dimension_order(shape)
 
-
-@cache
-def _deletions(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The shapes left by deleting each far-right box of a partition, in
-    dimension order.  Cached: a tree meets each shape many times."""
-    out = []
-    for row, _ in _dimension_order(shape):
+    def child(j: int) -> tuple[int, ...]:
         rows = list(shape)
-        rows[row - 1] -= 1
+        rows[order[j][0] - 1] -= 1
         # Deleting a far-right box can leave a column hanging below a shorter
         # row; pushing the column's boxes up restores weakly decreasing rows,
         # which is exactly the descending re-sort of the nonzero row lengths.
-        out.append(tuple(sorted((r for r in rows if r > 0), reverse=True)))
-    return tuple(out)
+        return tuple(sorted((r for r in rows if r > 0), reverse=True))
+
+    return level, range(len(order)), level - 1, child
 
 
-def _filling_step(mu: tuple[int, ...]):
-    """The box-filling step on states ``(word, empty)``: a row-reading word
-    of mu, 0 marking an empty box, and the count of empty boxes in each row.
-    The edge x_i^j writes i into the empty box with dimension-order j+1; the
+def _filling_step(mu: tuple[int, ...], order=_dimension_order):
+    """The box-filling step on row-reading words of mu, 0 marking an empty box:
+    the edge x_i^j writes i into the empty box with dimension-order j+1; the
     last value completes the filling.
 
     The empty boxes of each row stay flush left, so a row's empty-box count
-    is the column of its far-right empty box, and the boxes to fill depend
-    on the counts alone: ``moves`` keeps them per count tuple, for this step.
+    is the column of its far-right empty box.  ``order`` is the dimension
+    ordering of those counts: the cached kernel by default, which pays when
+    a tree meets the same counts at many vertices.
     """
     starts = list(accumulate(mu, initial=0))
-    moves: dict = {}  # empty -> (word position, empty after it) per dimension order
 
-    def step(level: int, state: tuple[tuple[int, ...], tuple[int, ...]]):
+    def step(level: int, word: tuple[int, ...]):
         if level == 0:
             return None
-        word, empty = state
-        if (edges := moves.get(empty)) is None:
-            edges = moves[empty] = tuple(
-                (starts[row - 1] + col - 1, empty[: row - 1] + (col - 1,) + empty[row:])
-                for row, col in _dimension_order(empty)
-            )
+        boxes = order(tuple([word[s : s + length].count(0) for s, length in zip(starts, mu)]))
 
         def child(j: int):
-            p, below = edges[j]
-            return word[:p] + (level,) + word[p + 1 :], below
+            row, col = boxes[j]
+            p = starts[row - 1] + col - 1
+            return word[:p] + (level,) + word[p + 1 :]
 
-        return level, range(len(edges)), level - 1, child
+        return level, range(len(boxes)), level - 1, child
 
     return step
 
@@ -116,10 +104,9 @@ def build_modified_gp_tree(mu: Sequence[int], max_n: int | None = None) -> Label
     _check_cap(n, max_n, "modified GP-tree construction")
 
     def payload(level: int, state):
-        word = state[0]
-        return PartialFilling._of(mu, word) if level else Filling._of(mu, word)
+        return PartialFilling._of(mu, state) if level else Filling._of(mu, state)
 
-    return _build_tree("modified-gp", n, n, ((0,) * n, mu), _filling_step(mu), payload, "B")
+    return _build_tree("modified-gp", n, n, (0,) * n, _filling_step(mu), payload, "B")
 
 
 def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Monomial]:
@@ -145,7 +132,7 @@ def garsia_procesi_basis(mu: Sequence[int], max_n: int | None = None) -> set[Mon
     leaves: dict = {}  # shape -> the exponents of x_1 .. x_level at the leaves below it
     for shape, branch in reversed(children.items()):  # each shape after every shape below it
         if branch is None:
-            leaves[shape] = [(0,)]  # the one box (1,), at level 1
+            leaves[shape] = [(0,) * sum(shape)]  # the one box (1,), or the empty mu
         else:
             found = (exps + (e,) for e, below in branch for exps in leaves[below])
             leaves[shape] = found if shape == mu else list(found)
@@ -179,6 +166,8 @@ def psi(mu: Sequence[int], monomial: Monomial) -> Filling:
     n = sum(mu)
     if len(monomial) != n:
         raise ValueError(f"monomial has {len(monomial)} variables, expected {n}")
-    state = ((0,) * n, mu)
-    word, _ = _descend(n, state, _filling_step(mu), monomial, lambda: f"the basis of shape {mu}")
+    # one path meets each composition once, so it reads the uncached kernel:
+    # caching would only keep a tuple per level of every tall shape asked for
+    step = _filling_step(mu, _dimension_order.__wrapped__)
+    word = _descend(n, (0,) * n, step, monomial, lambda: f"the basis of shape {mu}")
     return Filling._of(mu, word)

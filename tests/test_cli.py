@@ -509,11 +509,21 @@ ONE_ROW_600 = ",".join(map(str, range(1, 601)))
         ("tree --kind modified-gp --mu 990 --max-n 990", 0),
         (f"tree --kind h-tableau --h {ONE_ROW_600} --max-n 600", 0),
         ("basis --mu 1200 --max-n 1200", 0),
+        ("tree --kind gp --mu 450 --max-n 450 --format json", 0),
         ("tree --kind gp --mu 990 --max-n 990 --format json", 3),
         ("tree --kind gp --mu 600 --max-n 600 --format json", 3),
         (f"tree --kind h --h {ONE_ROW_600} --max-n 600 --format json", 3),
     ],
-    ids=["gp-dot", "modified-gp-dot", "h-tableau-dot", "basis", "gp-json", "gp-json-600", "h-json"],
+    ids=[
+        "gp-dot",
+        "modified-gp-dot",
+        "h-tableau-dot",
+        "basis",
+        "gp-json-450",
+        "gp-json",
+        "gp-json-600",
+        "h-json",
+    ],
 )
 def test_deep_one_path_trees(argv, code):
     # each tree is one path of n levels: no recursion of n frames may remain
@@ -527,12 +537,12 @@ def test_deep_one_path_trees(argv, code):
     assert "Traceback" not in result.stderr
     if code == 3:
         depth = 601 if "--h" in argv else int(argv.split()[4])
-        assert result.stderr == (
-            f"error: JSON of a tree of depth {depth} exceeds the nesting limit of "
-            f"{cli.JSON_MAX_LEVELS} levels\n"
-        )
+        message = f"JSON of a tree of depth {depth} nests too deeply to encode"
+        assert result.stderr == f"error: {message}\n"
     elif argv.startswith("basis"):
         assert result.stdout == "1\n"
+    elif "json" in argv:
+        assert len(json.loads(result.stdout)["levels"]) == int(argv.split()[4])
     else:
         kind, n = argv.split()[2], int(argv.split()[-1])
         # levels n..1, n..0 plus B, and 1..n plus n+1
@@ -540,13 +550,24 @@ def test_deep_one_path_trees(argv, code):
         assert result.stdout.count(" -> ") == edges
 
 
-def test_json_at_the_nesting_limit(capsys):
-    # the deepest JSON tree the CLI writes: each level nests two containers,
-    # and the leaf's filling two more, all below this test runner's own frames
-    n = cli.JSON_MAX_LEVELS - 2  # a modified-GP tree has levels n..0 and B
-    argv = ["tree", "--kind", "modified-gp", "--mu", str(n), "--max-n", str(n)]
-    assert main([*argv, "--format", "json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["levels"]) == cli.JSON_MAX_LEVELS
+def test_json_too_deep_for_the_callers_stack_exits_3(capsys):
+    # how deep a JSON tree may nest depends on the frames below the call:
+    # from a stack 150 frames short of its limit, an 80-level tree fails
+    # with exit 3 and its depth, and at the usual limit it encodes
+    argv = ["tree", "--kind", "gp", "--mu", "80", "--format", "json", "--max-n", "80"]
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        assert main(argv) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: JSON of a tree of depth 80 nests too deeply to encode\n")
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == 80
 
 
 # A small grammar of argv for every subcommand: lists of at most 5 entries

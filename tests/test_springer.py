@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 from math import factorial, prod
 
@@ -16,6 +17,7 @@ from hesskit import (
     betti_numbers,
     build_gp_tree,
     build_modified_gp_tree,
+    core,
     enumerate_fillings,
     enumerate_row_strict,
     garsia_procesi_basis,
@@ -167,6 +169,10 @@ class TestBasis:
     def test_one_row_basis_is_trivial(self):
         assert garsia_procesi_basis((5,)) == {Monomial.one(5)}
 
+    def test_empty_shape_basis_is_the_unit_in_no_variables(self):
+        assert garsia_procesi_basis(()) == {Monomial.one(0)}
+        assert garsia_procesi_basis((1,)) == {Monomial.one(1)}
+
     def test_full_flag_staircase(self):
         n = 5
         basis = garsia_procesi_basis((1,) * n)
@@ -276,6 +282,21 @@ class TestPsi:
 
     def test_empty_shape_gives_empty_filling(self):
         assert psi((), Monomial(())) == Filling.from_word((), ())
+
+    def test_a_tall_shape_costs_one_level_at_a_time(self):
+        # psi follows one path: down a column of n boxes it holds one level's
+        # state at a time, and leaves nothing in the dimension-order cache
+        n = 300
+        cached = core._dimension_order.cache_info().currsize
+        tracemalloc.start()
+        try:
+            filling = psi((1,) * n, Monomial.one(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert filling.word == tuple(range(n, 0, -1))
+        assert peak < 2**21
+        assert core._dimension_order.cache_info().currsize == cached
 
     def test_result_is_row_strict(self):
         from hesskit import is_row_strict
